@@ -16,14 +16,14 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Full benchmark sweep (slow). Use BENCH=E7 etc. to narrow.
+# Every registered experiment under go test -bench (slow). Use
+# BENCH=E7r etc. to narrow.
 BENCH ?= .
 bench:
-	$(GO) test -bench '$(BENCH)' -benchmem -run xxx .
+	$(GO) test -run '^$$' -bench 'Experiments/$(BENCH)' -benchmem ./internal/bench
 
-# Machine-readable acceptance numbers: the E7 subgoal-cache family
-# plus E8 commit throughput per sync policy, with the observability
-# registry snapshot of the E7r workload attached.
+# Machine-readable records of every registered experiment: one per
+# op and parameter point, each with its registry counter deltas.
 BENCHJSON ?= BENCH_PR10.json
 bench-json:
 	$(GO) run ./cmd/lsdb-bench -json $(BENCHJSON)

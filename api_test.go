@@ -31,6 +31,33 @@ func TestStrictModeRejectsContradiction(t *testing.T) {
 	}
 }
 
+// A strict check must not leave traces in the log: it evaluates the
+// hypothetical insert off to the side, so a rejected assert writes no
+// record and an accepted one writes exactly its own.
+func TestStrictAssertWritesOnlyItsOwnRecord(t *testing.T) {
+	db, err := lsdb.Open(lsdb.Options{Strict: true, LogPath: filepath.Join(t.TempDir(), "db.log")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	db.MustAssert("LOVES", "contra", "HATES")
+	db.MustAssert("JOHN", "LOVES", "MARY")
+
+	lsn := db.LSN()
+	if err := db.Assert("JOHN", "HATES", "MARY"); err == nil {
+		t.Fatal("strict mode accepted a contradiction")
+	}
+	if got := db.LSN(); got != lsn {
+		t.Errorf("rejected assert moved LSN %d -> %d", lsn, got)
+	}
+	if err := db.Assert("JOHN", "LOVES", "FELIX"); err != nil {
+		t.Fatal(err)
+	}
+	if got := db.LSN(); got != lsn+1 {
+		t.Errorf("accepted assert moved LSN %d -> %d, want +1", lsn, got)
+	}
+}
+
 func TestLooseModeAllowsThenChecks(t *testing.T) {
 	db := lsdb.New()
 	db.MustAssert("LOVES", "contra", "HATES")

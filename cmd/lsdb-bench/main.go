@@ -1,96 +1,65 @@
 // Command lsdb-bench regenerates the experiment tables of
-// EXPERIMENTS.md (DESIGN.md §3). Each experiment quantifies one of
-// the paper's qualitative claims on a synthetic world.
+// EXPERIMENTS.md (DESIGN.md §3) from the experiment registry in
+// internal/bench. Each experiment quantifies one of the paper's
+// qualitative claims on a synthetic world.
 //
 // Usage:
 //
 //	lsdb-bench                    # run every experiment
 //	lsdb-bench E1 E5 E8           # run a subset
-//	lsdb-bench -quick             # smaller sweeps (used in CI)
-//	lsdb-bench -json BENCH.json   # machine-readable E7/E8/E9s/E10c/E11 results
+//	lsdb-bench -quick             # the quick parameter points only
+//	lsdb-bench -json BENCH.json   # also write every record as JSON
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 
 	"repro/internal/bench"
-	"repro/internal/tabular"
 )
 
 func main() {
-	quick := flag.Bool("quick", false, "run smaller parameter sweeps")
-	jsonPath := flag.String("json", "", "write machine-readable E7-family results to this file and exit")
-	scaleMax := flag.Int("scalemax", 1_000_000, "largest E9s world size (facts)")
+	quick := flag.Bool("quick", false, "run only the quick parameter points")
+	jsonPath := flag.String("json", "", "also write the measured records to this file")
+	scaleMax := flag.Int("scalemax", 1_000_000, "largest world size (facts) to run")
 	flag.Parse()
 
+	selected := flag.Args()
+	if len(selected) == 0 {
+		selected = bench.Names()
+	}
+	var exps []*bench.Experiment
+	for _, name := range selected {
+		e := bench.Lookup(name)
+		if e == nil {
+			fmt.Fprintf(os.Stderr, "lsdb-bench: unknown experiment %q (have %v)\n", name, bench.Names())
+			os.Exit(2)
+		}
+		exps = append(exps, e)
+	}
+
+	var all []bench.Result
+	for _, e := range exps {
+		rs, err := e.Run(e.Selected(*quick, *scaleMax), 0)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "lsdb-bench:", err)
+			os.Exit(1)
+		}
+		fmt.Println(e.Render(rs))
+		all = append(all, rs...)
+	}
+
 	if *jsonPath != "" {
-		if err := bench.WriteJSON(*jsonPath); err != nil {
+		buf, err := json.MarshalIndent(bench.NewReport(all), "", "  ")
+		if err == nil {
+			err = os.WriteFile(*jsonPath, append(buf, '\n'), 0o644)
+		}
+		if err != nil {
 			fmt.Fprintln(os.Stderr, "lsdb-bench:", err)
 			os.Exit(1)
 		}
 		fmt.Printf("wrote %s\n", *jsonPath)
-		return
-	}
-
-	scaleSizes := []int{100_000, 1_000_000, 10_000_000}
-	sizes := []int{1000, 5000, 20000}
-	students := []int{200, 1000, 5000}
-	depths := []int{2, 3, 4, 5}
-	limits := []int{1, 2, 3, 4, 5}
-	constraints := []int{0, 2, 8}
-	logSizes := []int{1000, 10000, 50000}
-	if *quick {
-		sizes = []int{1000, 5000}
-		students = []int{200, 1000}
-		depths = []int{2, 3}
-		limits = []int{1, 2, 3}
-		constraints = []int{0, 2}
-		logSizes = []int{1000, 5000}
-		scaleSizes = []int{100_000}
-	}
-	{
-		kept := scaleSizes[:0]
-		for _, n := range scaleSizes {
-			if n <= *scaleMax {
-				kept = append(kept, n)
-			}
-		}
-		scaleSizes = kept
-	}
-
-	experiments := map[string]func() *tabular.Rows{
-		"E1":   func() *tabular.Rows { return bench.E1(sizes) },
-		"E2":   func() *tabular.Rows { return bench.E2(students) },
-		"E3":   func() *tabular.Rows { return bench.E3(depths) },
-		"E4":   func() *tabular.Rows { return bench.E4(students) },
-		"E5":   func() *tabular.Rows { return bench.E5(limits) },
-		"E6":   bench.E6,
-		"E7":   bench.E7,
-		"E8":   bench.E8,
-		"E9":   func() *tabular.Rows { return bench.E9(constraints) },
-		"E10":  func() *tabular.Rows { return bench.E10(logSizes) },
-		"E10c": bench.E10c,
-		"E3p":  func() *tabular.Rows { return bench.E3Parallel(students) },
-		"E7c":  func() *tabular.Rows { return bench.E7Concurrent(students) },
-		"E7r":  bench.E7Repeated,
-		"E9s":  func() *tabular.Rows { return bench.E9Scale(scaleSizes) },
-		"E11":  bench.E11,
-		"E12":  func() *tabular.Rows { return bench.E12(scaleSizes) },
-	}
-	order := []string{"E1", "E2", "E3", "E3p", "E4", "E5", "E6", "E7", "E7c", "E7r", "E8", "E9", "E9s", "E10", "E10c", "E11", "E12"}
-
-	selected := flag.Args()
-	if len(selected) == 0 {
-		selected = order
-	}
-	for _, name := range selected {
-		exp, ok := experiments[name]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "lsdb-bench: unknown experiment %q (have %v)\n", name, order)
-			os.Exit(2)
-		}
-		fmt.Println(exp().Render())
 	}
 }

@@ -15,13 +15,11 @@ import (
 	"net/http/httptest"
 	"os"
 	"sort"
-	"testing"
 	"time"
 
 	lsdb "repro"
 	"repro/internal/repl"
 	"repro/internal/sym"
-	"repro/internal/tabular"
 )
 
 // e11World is a replicated pair carrying the OnDemandWorld facts:
@@ -59,9 +57,9 @@ func (w *e11World) close() {
 // the log is compacted so a joining follower takes the snapshot
 // bootstrap path — how a replica is actually provisioned — and a
 // follower is started and caught up.
-func newE11World() (*e11World, error) {
+func newE11World(facts int) (*e11World, error) {
 	w := &e11World{}
-	src, _ := OnDemandWorld()
+	src, _ := OnDemandWorld(facts)
 	w.standalone = src
 
 	dir, err := os.MkdirTemp("", "lsdb-bench-e11")
@@ -154,31 +152,26 @@ func newE11World() (*e11World, error) {
 // the standalone and follower replays visit the same entities.
 func e11Trail(db *lsdb.Database) []sym.ID {
 	var out []sym.ID
-	for _, i := range []int{0, 2, 20, 200, 1500} {
-		out = append(out, db.Entity(fmt.Sprintf("N%06d", i)))
+	for _, rank := range e6Ranks {
+		out = append(out, db.Entity(fmt.Sprintf("N%06d", rank)))
 	}
 	return out
 }
 
-// e11Lag drives writes through the primary, one at a time, and
-// measures commit→applied latency on the follower: the time from the
-// durable acknowledgment (what a client sees, with the commit LSN) to
-// the follower's watermark reaching that LSN. Returns the per-write
-// latencies.
-func e11Lag(w *e11World, writes int) ([]time.Duration, error) {
-	lat := make([]time.Duration, 0, writes)
-	for i := 0; i < writes; i++ {
-		if err := w.primary.Assert(fmt.Sprintf("E11-W%d", i), "in", "E11-LAG"); err != nil {
-			return nil, err
-		}
-		lsn := w.primary.LSN()
-		t0 := time.Now()
-		if _, ok := w.fl.WaitLSN(lsn, 10*time.Second); !ok {
-			return nil, fmt.Errorf("e11: write %d (LSN %d) never reached the follower", i, lsn)
-		}
-		lat = append(lat, time.Since(t0))
+// lag drives write k through the primary and measures commit→applied
+// latency on the follower: the time from the durable acknowledgment
+// (what a client sees, with the commit LSN) to the follower's
+// watermark reaching that LSN.
+func (w *e11World) lag(k int) (time.Duration, error) {
+	if err := w.primary.Assert(fmt.Sprintf("E11-W%d", k), "in", "E11-LAG"); err != nil {
+		return 0, err
 	}
-	return lat, nil
+	lsn := w.primary.LSN()
+	t0 := time.Now()
+	if _, ok := w.fl.WaitLSN(lsn, 10*time.Second); !ok {
+		return 0, fmt.Errorf("e11: write %d (LSN %d) never reached the follower", k, lsn)
+	}
+	return time.Since(t0), nil
 }
 
 func quantile(sorted []time.Duration, q float64) time.Duration {
@@ -189,102 +182,51 @@ func quantile(sorted []time.Duration, q float64) time.Duration {
 	return sorted[i]
 }
 
-// E11 renders the replication experiment: follower read throughput on
-// the E7 navigation mix against the standalone baseline, snapshot
-// bootstrap cost, and steady-state replication lag.
-func E11() *tabular.Rows {
-	w, err := newE11World()
-	if err != nil {
-		t := &tabular.Rows{Title: "E11 WAL-shipping replication"}
-		t.Headers = []string{"error"}
-		t.AddRow([]string{err.Error()})
-		return t
-	}
-	defer w.close()
-	const depth = 2
-	strail, ftrail := e11Trail(w.standalone), e11Trail(w.follower)
+func ms(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e6 }
 
-	ReplayNavigation(w.standalone, depth, strail) // prime
-	base := timeIt(20, func() { ReplayNavigation(w.standalone, depth, strail) })
-	ReplayNavigation(w.follower, depth, ftrail) // prime
-	foll := timeIt(20, func() { ReplayNavigation(w.follower, depth, ftrail) })
-
-	lat, err := e11Lag(w, 200)
-	if err != nil {
-		t := &tabular.Rows{Title: "E11 WAL-shipping replication"}
-		t.Headers = []string{"error"}
-		t.AddRow([]string{err.Error()})
-		return t
-	}
-	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-
-	t := &tabular.Rows{
-		Title: fmt.Sprintf("E11 WAL-shipped read replica (%d facts; snapshot bootstrap %s)",
-			w.loadFacts, dur(w.bootstrap)),
-		Headers: []string{"metric", "value"},
-	}
-	t.AddRow([]string{"standalone warm navigation"}, []string{dur(base)})
-	t.AddRow([]string{"follower warm navigation"}, []string{dur(foll)})
-	t.AddRow([]string{"follower/standalone read throughput"},
-		[]string{fmt.Sprintf("%.2fx", float64(base)/float64(foll))})
-	t.AddRow([]string{"replication lag p50"}, []string{dur(quantile(lat, 0.50))})
-	t.AddRow([]string{"replication lag p95"}, []string{dur(quantile(lat, 0.95))})
-	t.AddRow([]string{"replication lag max"}, []string{dur(lat[len(lat)-1])})
-	return t
-}
-
-// E11Results measures the same experiment for the JSON artifact:
-// warm navigation ns/op on both sides (read_fraction in Extra is the
-// acceptance number — follower QPS over standalone QPS, wanted
-// ≥ 0.8) plus the commit→applied lag distribution.
-func E11Results() ([]Result, error) {
-	w, err := newE11World()
-	if err != nil {
-		return nil, err
-	}
-	defer w.close()
-	const depth = 2
-	strail, ftrail := e11Trail(w.standalone), e11Trail(w.follower)
-	params := map[string]any{"depth": depth, "facts": w.loadFacts, "trail": len(strail)}
-
-	ReplayNavigation(w.standalone, depth, strail)
-	base := measure("E11_ReplicaRead/standalone", params, func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			ReplayNavigation(w.standalone, depth, strail)
+// E11 measures a follower serving the E7 navigation mix against the
+// standalone baseline (read_fraction is follower QPS over standalone
+// QPS), and the commit→applied lag distribution. A write that never
+// reaches the follower is counted in lost_writes, not timed.
+var e11 = &Experiment{
+	Name:   "E11",
+	Title:  "WAL-shipped read replica",
+	Points: onDemandPoints(Point{"sync": "interval2ms", "writes": 200}), // Setup sets facts to those loaded
+	Quick:  1,
+	Ops:    []string{"E11_ReplicaRead/standalone", "E11_ReplicaRead/follower", "E11_ReplicationLag"},
+	Ratios: []Ratio{{"read_fraction", "E11_ReplicaRead/standalone", "E11_ReplicaRead/follower"}},
+	Setup: func(p Point) (*Fixture, error) {
+		w, err := newE11World(p.Int("facts"))
+		if err != nil {
+			return nil, err
 		}
-	})
-	ReplayNavigation(w.follower, depth, ftrail)
-	foll := measure("E11_ReplicaRead/follower", params, func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			ReplayNavigation(w.follower, depth, ftrail)
-		}
-	})
-	if foll.NsPerOp > 0 {
-		if foll.Extra == nil {
-			foll.Extra = make(map[string]float64)
-		}
-		foll.Extra["read_fraction"] = base.NsPerOp / foll.NsPerOp
-	}
-
-	lat, err := e11Lag(w, 200)
-	if err != nil {
-		return nil, err
-	}
-	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-	var sum time.Duration
-	for _, d := range lat {
-		sum += d
-	}
-	lag := Result{
-		Experiment: "E11_ReplicationLag",
-		Params:     map[string]any{"writes": len(lat), "sync": "interval2ms"},
-		NsPerOp:    float64(sum.Nanoseconds()) / float64(len(lat)),
-		Extra: map[string]float64{
-			"p50_ms":       float64(quantile(lat, 0.50).Nanoseconds()) / 1e6,
-			"p95_ms":       float64(quantile(lat, 0.95).Nanoseconds()) / 1e6,
-			"max_ms":       float64(lat[len(lat)-1].Nanoseconds()) / 1e6,
-			"bootstrap_ms": float64(w.bootstrap.Nanoseconds()) / 1e6,
-		},
-	}
-	return []Result{base, foll, lag}, nil
+		depth := p.Int("depth")
+		strail, ftrail := e11Trail(w.standalone), e11Trail(w.follower)
+		replay(w.standalone, depth, strail) // prime
+		replay(w.follower, depth, ftrail)
+		var lat []time.Duration
+		lost := 0
+		return &Fixture{
+			Params: Point{"facts": w.loadFacts},
+			Ops: []Op{
+				{Reps: 20, Run: each(func() { replay(w.standalone, depth, strail) })},
+				{Reps: 20, Run: each(func() { replay(w.follower, depth, ftrail) }),
+					Values: values(map[string]float64{"bootstrap_ms": ms(w.bootstrap)})},
+				{Reps: p.Int("writes"), Run: counted(func(k int) {
+					if d, err := w.lag(k); err != nil {
+						lost++
+					} else {
+						lat = append(lat, d)
+					}
+				}), Values: func() map[string]float64 {
+					sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
+					return map[string]float64{
+						"p50_ms": ms(quantile(lat, 0.50)), "p95_ms": ms(quantile(lat, 0.95)),
+						"max_ms": ms(quantile(lat, 1)), "lost_writes": float64(lost),
+					}
+				}},
+			},
+			Close: w.close,
+		}, nil
+	},
 }

@@ -16,7 +16,7 @@ func TestE11ReplicaServesNavigationMix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("E11 replicates a 20k-fact world")
 	}
-	w, err := newE11World()
+	w, err := newE11World(20000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,21 +27,21 @@ func TestE11ReplicaServesNavigationMix(t *testing.T) {
 	}
 	const depth = 2
 	strail, ftrail := e11Trail(w.standalone), e11Trail(w.follower)
-	if got, want := ReplayNavigation(w.follower, depth, ftrail), ReplayNavigation(w.standalone, depth, strail); got != want {
+	if got, want := replay(w.follower, depth, ftrail), replay(w.standalone, depth, strail); got != want {
 		t.Fatalf("follower navigation degree %d, standalone %d", got, want)
 	}
 
-	base := timeIt(10, func() { ReplayNavigation(w.standalone, depth, strail) })
-	foll := timeIt(10, func() { ReplayNavigation(w.follower, depth, ftrail) })
+	base := Op{Run: each(func() { replay(w.standalone, depth, strail) })}.Time(10)
+	foll := Op{Run: each(func() { replay(w.follower, depth, ftrail) })}.Time(10)
 	if frac := float64(base) / float64(foll); frac < 0.5 {
 		t.Errorf("follower read fraction %.2f of standalone, want well above 0.5", frac)
 	}
 
-	lat, err := e11Lag(w, 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, d := range lat {
+	for i := 0; i < 20; i++ {
+		d, err := w.lag(i)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if d > 5*time.Second {
 			t.Errorf("write %d took %s to reach the follower", i, d)
 		}

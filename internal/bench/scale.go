@@ -2,163 +2,108 @@ package bench
 
 // E9s: memory-scale worlds over the sealed posting-list index.
 // Measures what the compressed read path costs and saves at 10⁵–10⁷
-// facts: bulk-load (sort + posting build) time per fact, index bytes
-// per fact, and point-query latency against Zipf-skewed data, where
-// hub entities give the longest posting runs.
+// facts: generation and bulk-load (sort + posting build) time, index
+// and live-heap bytes per fact, and point-query latency against
+// Zipf-skewed data, where hub entities give the longest posting runs.
 
 import (
 	"fmt"
 	"math/rand"
 	"runtime"
-	"time"
+	"slices"
 
 	"repro/internal/fact"
 	"repro/internal/gen"
 	"repro/internal/store"
 	"repro/internal/sym"
-	"repro/internal/tabular"
 )
 
 // scaleProbes is the number of random point queries per measurement.
 const scaleProbes = 20_000
 
-// scaleWorld builds one sealed scale world and returns it with the
-// measurements the table and the JSON report share.
-type scaleMeasurement struct {
-	cfg        gen.ScaleConfig
-	facts      int // distinct facts after dedup
-	genNs      time.Duration
-	sealNs     time.Duration
-	heapBytes  uint64 // live-heap growth attributable to the sealed store
-	stats      store.IndexStats
-	hasNs      time.Duration // per Has probe
-	matchRTNs  time.Duration // per MatchAll (None, r, t) probe
-	matchSNs   time.Duration // per MatchAll (s, None, None) probe
-	estimateNs time.Duration // per EstimateCount probe
+// scalePoints labels scale worlds by requested size; Setup replaces
+// "facts" with the distinct count after dedup.
+func scalePoints(sizes ...int) []Point {
+	out := make([]Point, len(sizes))
+	for i, n := range sizes {
+		cfg := gen.ScaleConfig{Facts: n}.Normalized()
+		out[i] = Point{"facts": n, "entities": cfg.Entities, "world": fmt.Sprintf("zipf(%.1f)", cfg.Skew)}
+	}
+	return out
 }
 
-func measureScale(cfg gen.ScaleConfig) scaleMeasurement {
-	cfg = cfg.Normalized()
-	m := scaleMeasurement{cfg: cfg}
-	u := fact.NewUniverse()
-
-	t0 := time.Now()
-	fs := gen.ScaleFacts(u, cfg)
-	m.genNs = time.Since(t0)
-
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	t0 = time.Now()
-	s := store.SealedFromFacts(u, fs)
-	m.sealNs = time.Since(t0)
-	runtime.GC()
-	runtime.ReadMemStats(&after)
-	if after.HeapAlloc > before.HeapAlloc {
-		m.heapBytes = after.HeapAlloc - before.HeapAlloc
-	}
-	m.facts = s.Len()
-	m.stats = s.IndexStats()
-
-	// Probe sets drawn from the same Zipf shape the data came from, so
-	// hot entities are probed proportionally to their posting length.
+// scaleProbeSet draws point queries from the same Zipf shape the data
+// came from, so hot entities are probed proportionally to their
+// posting length: half present facts, half likely-absent ones.
+func scaleProbeSet(u *fact.Universe, s *store.Store, cfg gen.ScaleConfig) []fact.Fact {
 	rng := rand.New(rand.NewSource(cfg.Seed + 1))
 	zipf := rand.NewZipf(rng, 1.2, 1, uint64(max(cfg.Entities-1, 1)))
 	probes := make([]fact.Fact, scaleProbes)
 	all := s.Facts()
 	for i := range probes {
 		if i%2 == 0 {
-			probes[i] = all[rng.Intn(len(all))] // present fact
+			probes[i] = all[rng.Intn(len(all))]
 		} else {
-			probes[i] = fact.Fact{ // likely-absent fact
+			probes[i] = fact.Fact{
 				S: u.Intern(fmt.Sprintf("N%d", zipf.Uint64())),
 				R: u.Intern(fmt.Sprintf("rel%d", rng.Intn(16))),
 				T: u.Intern(fmt.Sprintf("N%d", zipf.Uint64())),
 			}
 		}
 	}
-	all = nil
-
-	perProbe := func(fn func(f fact.Fact)) time.Duration {
-		t0 := time.Now()
-		for _, f := range probes {
-			fn(f)
-		}
-		return time.Since(t0) / scaleProbes
-	}
-	sink := 0
-	m.hasNs = perProbe(func(f fact.Fact) {
-		if s.Has(f) {
-			sink++
-		}
-	})
-	m.matchRTNs = perProbe(func(f fact.Fact) {
-		s.Match(sym.None, f.R, f.T, func(fact.Fact) bool { sink++; return true })
-	})
-	m.matchSNs = perProbe(func(f fact.Fact) {
-		sink += len(s.MatchAll(f.S, sym.None, sym.None))
-	})
-	m.estimateNs = perProbe(func(f fact.Fact) {
-		sink += s.EstimateCount(f.S, f.R, sym.None)
-	})
-	_ = sink
-	return m
+	return probes
 }
 
-// E9Scale renders the scale table for the given fact counts.
-func E9Scale(sizes []int) *tabular.Rows {
-	t := &tabular.Rows{
-		Title: "E9s memory-scale worlds: sealed posting-list index (Zipf entities)",
-		Headers: []string{
-			"facts", "gen", "seal", "seal ns/fact", "index B/fact",
-			"heap B/fact", "Has", "Match rt", "MatchAll s", "estimate",
-		},
-	}
-	for _, n := range sizes {
-		m := measureScale(gen.ScaleConfig{Facts: n})
-		t.AddRow(
-			[]string{fmt.Sprint(m.facts)},
-			[]string{dur(m.genNs)},
-			[]string{dur(m.sealNs)},
-			[]string{fmt.Sprintf("%.1f", float64(m.sealNs.Nanoseconds())/float64(m.facts))},
-			[]string{fmt.Sprintf("%.1f", float64(m.stats.IndexBytes())/float64(m.facts))},
-			[]string{fmt.Sprintf("%.1f", float64(m.heapBytes)/float64(m.facts))},
-			[]string{dur(m.hasNs)},
-			[]string{dur(m.matchRTNs)},
-			[]string{dur(m.matchSNs)},
-			[]string{dur(m.estimateNs)},
-		)
-	}
-	return t
-}
+var e9s = &Experiment{
+	Name:   "E9s",
+	Title:  "memory-scale worlds: sealed posting-list index (Zipf entities)",
+	Points: scalePoints(100_000, 1_000_000, 10_000_000),
+	Quick:  1,
+	Ops: []string{"E9_Scale/gen", "E9_Scale/sealed_postings", "E9_Scale/has", "E9_Scale/match_rt",
+		"E9_Scale/matchall_s", "E9_Scale/estimate"},
+	Setup: func(p Point) (*Fixture, error) {
+		cfg := gen.ScaleConfig{Facts: p.Int("facts")}.Normalized()
+		u := fact.NewUniverse()
+		raw := gen.ScaleFacts(u, cfg)
 
-// ScaleResults returns the E9s measurements as JSON report results
-// (one per size) for lsdb-bench -json.
-func ScaleResults(sizes []int) []Result {
-	out := make([]Result, 0, len(sizes))
-	for _, n := range sizes {
-		m := measureScale(gen.ScaleConfig{Facts: n})
-		out = append(out, Result{
-			Experiment: "E9_Scale/sealed_postings",
-			Params: map[string]any{
-				"facts":    m.facts,
-				"entities": m.cfg.Entities,
-				"world":    fmt.Sprintf("zipf(%.1f)", m.cfg.Skew),
+		// Sealing sorts its input in place: keep raw unsorted so every
+		// sealing iteration starts from generator order.
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		s := store.SealedFromFacts(u, slices.Clone(raw))
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		facts := float64(s.Len())
+		stats := s.IndexStats()
+		sealValues := map[string]float64{
+			"index_bytes_per_fact": float64(stats.IndexBytes()) / facts,
+			"heap_bytes_per_fact":  float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / facts,
+			"posting_bytes":        float64(stats.PostingBytes),
+			"buckets":              float64(stats.Buckets()),
+		}
+
+		probes := scaleProbeSet(u, s, cfg)
+		sink := 0
+		probe := func(fn func(f fact.Fact)) func(int) {
+			return counted(func(k int) { fn(probes[k%len(probes)]) })
+		}
+		return &Fixture{
+			Params: Point{"facts": s.Len()},
+			Ops: []Op{
+				{Reps: 1, Run: each(func() { gen.ScaleFacts(fact.NewUniverse(), cfg) })},
+				{Reps: 1, Run: each(func() { store.SealedFromFacts(u, slices.Clone(raw)) }), Values: values(sealValues)},
+				{Reps: scaleProbes, Run: probe(func(f fact.Fact) {
+					if s.Has(f) {
+						sink++
+					}
+				})},
+				{Reps: scaleProbes, Run: probe(func(f fact.Fact) {
+					s.Match(sym.None, f.R, f.T, func(fact.Fact) bool { sink++; return true })
+				})},
+				{Reps: scaleProbes, Run: probe(func(f fact.Fact) { sink += len(s.MatchAll(f.S, sym.None, sym.None)) })},
+				{Reps: scaleProbes, Run: probe(func(f fact.Fact) { sink += s.EstimateCount(f.S, f.R, sym.None) })},
 			},
-			NsPerOp: float64(m.sealNs.Nanoseconds()),
-			Extra: map[string]float64{
-				"gen_ns":               float64(m.genNs.Nanoseconds()),
-				"seal_ns_per_fact":     float64(m.sealNs.Nanoseconds()) / float64(m.facts),
-				"index_bytes_per_fact": float64(m.stats.IndexBytes()) / float64(m.facts),
-				"heap_bytes_per_fact":  float64(m.heapBytes) / float64(m.facts),
-				"posting_bytes":        float64(m.stats.PostingBytes),
-				"buckets":              float64(m.stats.Buckets()),
-				"has_ns":               float64(m.hasNs.Nanoseconds()),
-				"match_rt_ns":          float64(m.matchRTNs.Nanoseconds()),
-				"matchall_s_ns":        float64(m.matchSNs.Nanoseconds()),
-				"estimate_ns":          float64(m.estimateNs.Nanoseconds()),
-			},
-		})
-	}
-	return out
+		}, nil
+	},
 }

@@ -1,7 +1,7 @@
 package bench
 
-// E12: the keyword-search front door. Three questions, each tied to an
-// acceptance number in EXPERIMENTS.md:
+// E12, E12q, E12r: the keyword-search front door. Three questions,
+// each tied to an acceptance number in EXPERIMENTS.md:
 //
 //   - Index build throughput: what does a full inverted-index rebuild
 //     (the lazy-refresh unit of work) cost per fact at memory scale?
@@ -16,8 +16,6 @@ import (
 	"math/rand"
 	"sort"
 	"strings"
-	"testing"
-	"time"
 
 	lsdb "repro"
 	"repro/internal/fact"
@@ -25,115 +23,78 @@ import (
 	"repro/internal/search"
 	"repro/internal/store"
 	"repro/internal/sym"
-	"repro/internal/tabular"
 )
-
-// searchScaleMeasurement is one Zipf world's build and latency numbers.
-type searchScaleMeasurement struct {
-	cfg      gen.ScaleConfig
-	facts    int
-	buildNs  time.Duration
-	stats    search.IndexStats
-	exactNs  time.Duration // per exact-name query
-	prefixNs time.Duration // per short-prefix query
-	multiNs  time.Duration // per multi-term query
-}
 
 // searchProbeCount is the number of queries per latency measurement.
 const searchProbeCount = 2000
 
-func measureSearchScale(n int) searchScaleMeasurement {
-	cfg := gen.ScaleConfig{Facts: n}.Normalized()
-	m := searchScaleMeasurement{cfg: cfg}
-	u := fact.NewUniverse()
-	fs := gen.ScaleFacts(u, cfg)
-	st := store.SealedFromFacts(u, fs)
-	m.facts = st.Len()
+// E12 prices the lazy-refresh unit of work — a full inverted-index
+// rebuild: tokenize → union-find → walk → encode, on a fresh Searcher
+// per iteration — and warm-snapshot query latency by query shape,
+// probes Zipf-shaped like the data so hot entities (the longest
+// posting runs) dominate.
+var e12 = &Experiment{
+	Name:   "E12",
+	Title:  "keyword search: inverted index build and warm-query latency (Zipf entities)",
+	Points: scalePoints(20_000, 100_000, 1_000_000, 10_000_000),
+	Quick:  1,
+	Ops:    []string{"E12_IndexBuild", "E12_Query/exact", "E12_Query/prefix", "E12_Query/multi"},
+	Setup: func(p Point) (*Fixture, error) {
+		cfg := gen.ScaleConfig{Facts: p.Int("facts")}.Normalized()
+		u := fact.NewUniverse()
+		st := store.SealedFromFacts(u, gen.ScaleFacts(u, cfg))
+		sr := search.New(st, u)
+		stats := sr.Refresh()
 
-	// Build throughput: a fresh Searcher per rep, so every rep pays the
-	// full tokenize → union-find → walk → encode pipeline.
-	const reps = 3
-	t0 := time.Now()
-	var sr *search.Searcher
-	for i := 0; i < reps; i++ {
-		sr = search.New(st, u)
-		m.stats = sr.Refresh()
-	}
-	m.buildNs = time.Since(t0) / reps
-
-	// Query latency against the warm snapshot, probes Zipf-shaped like
-	// the data so hot entities (the longest posting runs) dominate.
-	rng := rand.New(rand.NewSource(cfg.Seed + 2))
-	zipf := rand.NewZipf(rng, 1.2, 1, uint64(max(cfg.Entities-1, 1)))
-	name := func() string { return fmt.Sprintf("N%d", zipf.Uint64()) }
-	perQuery := func(q func() string) time.Duration {
-		t0 := time.Now()
+		rng := rand.New(rand.NewSource(cfg.Seed + 2))
+		zipf := rand.NewZipf(rng, 1.2, 1, uint64(max(cfg.Entities-1, 1)))
+		var exact, prefix, multi []string
 		for i := 0; i < searchProbeCount; i++ {
-			sr.Search(q(), search.Options{})
+			name := fmt.Sprintf("N%d", zipf.Uint64())
+			exact = append(exact, name)
+			prefix = append(prefix, strings.ToLower(name)[:2]) // "n1", "n4", ... wide fan-out
+			multi = append(multi, name+" "+fmt.Sprintf("rel%d", rng.Intn(16)))
 		}
-		return time.Since(t0) / searchProbeCount
-	}
-	m.exactNs = perQuery(func() string { return name() })
-	m.prefixNs = perQuery(func() string {
-		return strings.ToLower(name())[:2] // "n1", "n4", ... wide fan-out
-	})
-	m.multiNs = perQuery(func() string {
-		return name() + " " + fmt.Sprintf("rel%d", rng.Intn(16))
-	})
-	return m
+		queries := func(qs []string) Op {
+			return Op{Reps: len(qs), Run: counted(func(k int) { sr.Search(qs[k%len(qs)], search.Options{}) })}
+		}
+		return &Fixture{
+			Params: Point{"facts": st.Len()},
+			Ops: []Op{
+				{Reps: 3, Run: each(func() { search.New(st, u).Refresh() }), Values: values(map[string]float64{
+					"index_bytes":      float64(stats.Bytes),
+					"arena_bytes":      float64(stats.ArenaBytes),
+					"tokens":           float64(stats.Tokens),
+					"indexed_entities": float64(stats.Entities),
+				})},
+				queries(exact), queries(prefix), queries(multi),
+			},
+		}, nil
+	},
 }
 
-// E12 renders the keyword-search table for the given world sizes.
-func E12(sizes []int) *tabular.Rows {
-	t := &tabular.Rows{
-		Title: "E12 keyword search: inverted index build and warm-query latency (Zipf entities)",
-		Headers: []string{
-			"facts", "build", "build ns/fact", "index MB", "tokens",
-			"exact q", "prefix q", "multi q",
-		},
-	}
-	for _, n := range sizes {
-		m := measureSearchScale(n)
-		t.AddRow(
-			[]string{fmt.Sprint(m.facts)},
-			[]string{dur(m.buildNs)},
-			[]string{fmt.Sprintf("%.1f", float64(m.buildNs.Nanoseconds())/float64(m.facts))},
-			[]string{fmt.Sprintf("%.1f", float64(m.stats.Bytes)/1e6)},
-			[]string{fmt.Sprint(m.stats.Tokens)},
-			[]string{dur(m.exactNs)},
-			[]string{dur(m.prefixNs)},
-			[]string{dur(m.multiNs)},
-		)
-	}
-	return t
+// rankingProbe is one held-out retrieval question: searching query
+// on db should surface want within the top k.
+type rankingProbe struct {
+	db          *lsdb.Database
+	query, want string
+	exact       bool // exact-name probe (else a synonym probe)
 }
 
-// RankingQuality aggregates retrieval-quality rates over generated
-// worlds: Hit1 is the fraction of exact-name queries whose entity
-// ranked first, SynHit5 the fraction of synonym-name queries whose
-// partner made the top 5, MRR the mean reciprocal rank of the
-// exact-name targets within the top 10.
-type RankingQuality struct {
-	Hit1, SynHit5, MRR     float64
-	ExactProbes, SynProbes int
-}
-
-// MeasureRankingQuality scores the ranker on medium generated worlds.
-// Probes are entities the generator actually asserted; the index has
-// never seen the worlds before, so this is held-out retrieval, not
-// training-set recall.
-func MeasureRankingQuality(seeds []int64) RankingQuality {
-	var q RankingQuality
-	var hit1, mrr float64
-	var syn5 int
+// rankingProbes builds the generated medium worlds and their probes.
+// Exact-name probes are up to perWorld stored entities queried by
+// their own lowercased name; synonym probes query one side of every
+// stored ≈ pair for the other — the paper's "browse by any name you
+// know" promise. The index has never seen the worlds before, so this
+// is held-out retrieval, not training-set recall.
+func rankingProbes(seeds []int64, perWorld int) []rankingProbe {
+	var out []rankingProbe
 	for _, seed := range seeds {
-		w := gen.Generate(seed, gen.Medium())
-		db := w.Build()
+		db := gen.Generate(seed, gen.Medium()).Build()
+		db.Searcher().Refresh()
 		u := db.Universe()
 		facts := db.Store().Facts()
 
-		// Exact-name probes: a sample of stored entities, queried by
-		// their own (lowercased) name.
 		ids := make(map[sym.ID]bool)
 		for _, f := range facts {
 			for _, e := range []sym.ID{f.S, f.T} {
@@ -149,55 +110,83 @@ func MeasureRankingQuality(seeds []int64) RankingQuality {
 		sort.Strings(names)
 		rng := rand.New(rand.NewSource(seed))
 		rng.Shuffle(len(names), func(i, j int) { names[i], names[j] = names[j], names[i] })
-		if len(names) > 60 {
-			names = names[:60]
+		if len(names) > perWorld {
+			names = names[:perWorld]
 		}
 		for _, name := range names {
-			res := db.Search(strings.ToLower(name), lsdb.SearchOptions{K: 10})
-			q.ExactProbes++
-			for rank, h := range res.Hits {
-				if h.Name == name {
-					if rank == 0 {
-						hit1++
-					}
-					mrr += 1 / float64(rank+1)
-					break
-				}
-			}
+			out = append(out, rankingProbe{db: db, query: strings.ToLower(name), want: name, exact: true})
 		}
-
-		// Synonym probes: for every stored ≈ pair, querying one side's
-		// name must surface the other side in the top 5 — the paper's
-		// "browse by any name you know" promise.
 		for _, f := range facts {
 			if f.R != u.Syn || f.S == f.T {
 				continue
 			}
 			for _, pair := range [][2]sym.ID{{f.S, f.T}, {f.T, f.S}} {
-				res := db.Search(strings.ToLower(u.Name(pair[0])), lsdb.SearchOptions{K: 5})
-				q.SynProbes++
-				target := u.Name(pair[1])
-				for _, h := range res.Hits {
-					if h.Name == target {
-						syn5++
-						break
-					}
-				}
+				out = append(out, rankingProbe{db: db, query: strings.ToLower(u.Name(pair[0])), want: u.Name(pair[1])})
 			}
 		}
 	}
-	if q.ExactProbes > 0 {
-		q.Hit1 = hit1 / float64(q.ExactProbes)
-		q.MRR = mrr / float64(q.ExactProbes)
+	return out
+}
+
+// rankingQuality scores the ranker: hit_at_1 is the fraction of
+// exact-name probes whose entity ranked first, syn_hit_at_5 the
+// fraction of synonym probes whose partner made the top 5, mrr_at_10
+// the mean reciprocal rank of the exact-name targets within the top 10.
+func rankingQuality(probes []rankingProbe) map[string]float64 {
+	var exact, syn, hit1, syn5, mrr float64
+	for _, pr := range probes {
+		k := 5
+		if pr.exact {
+			k = 10
+		}
+		for rank, h := range pr.db.Search(pr.query, lsdb.SearchOptions{K: k}).Hits {
+			if h.Name != pr.want {
+				continue
+			}
+			if pr.exact {
+				if rank == 0 {
+					hit1++
+				}
+				mrr += 1 / float64(rank+1)
+			} else {
+				syn5++
+			}
+			break
+		}
+		if pr.exact {
+			exact++
+		} else {
+			syn++
+		}
 	}
-	if q.SynProbes > 0 {
-		q.SynHit5 = float64(syn5) / float64(q.SynProbes)
+	return map[string]float64{
+		"hit_at_1": hit1 / exact, "mrr_at_10": mrr / exact, "syn_hit_at_5": syn5 / syn,
+		"exact_probes": exact, "syn_probes": syn,
 	}
-	return q
+}
+
+var e12r = &Experiment{
+	Name:  "E12r",
+	Title: "keyword search ranking quality on held-out generated worlds",
+	Points: []Point{
+		{"worlds": "medium", "seeds": []int64{3}, "probes": 60},
+		{"worlds": "medium", "seeds": []int64{3, 5, 9}, "probes": 60},
+	},
+	Quick: 1,
+	Ops:   []string{"E12_RankingQuality"},
+	Setup: func(p Point) (*Fixture, error) {
+		probes := rankingProbes(p["seeds"].([]int64), p.Int("probes"))
+		var q map[string]float64
+		return &Fixture{Ops: []Op{{
+			Reps:   1,
+			Run:    each(func() { q = rankingQuality(probes) }),
+			Values: func() map[string]float64 { return q },
+		}}}, nil
+	},
 }
 
 // e12SessionQueries is the rotating query mix for the warm-QPS
-// measurement on the 20k-fact browse world: exact entity names, short
+// measurement on the browse world: exact entity names, short
 // prefixes, class names, and relationship terms.
 func e12SessionQueries(rng *rand.Rand, n int) []string {
 	qs := make([]string, n)
@@ -216,69 +205,26 @@ func e12SessionQueries(rng *rand.Rand, n int) []string {
 	return qs
 }
 
-// SearchResults returns the E12 measurements as JSON report results:
-// one index-build row per scale size, the warm keyword QPS on the
-// browse world, and the ranking-quality rates.
-func SearchResults(sizes []int, qualitySeeds []int64) []Result {
-	var out []Result
-	for _, n := range sizes {
-		m := measureSearchScale(n)
-		out = append(out, Result{
-			Experiment: "E12_IndexBuild",
-			Params: map[string]any{
-				"facts":    m.facts,
-				"entities": m.cfg.Entities,
-				"world":    fmt.Sprintf("zipf(%.1f)", m.cfg.Skew),
-			},
-			NsPerOp: float64(m.buildNs.Nanoseconds()),
-			Extra: map[string]float64{
-				"build_ns_per_fact": float64(m.buildNs.Nanoseconds()) / float64(m.facts),
-				"index_bytes":       float64(m.stats.Bytes),
-				"arena_bytes":       float64(m.stats.ArenaBytes),
-				"tokens":            float64(m.stats.Tokens),
-				"indexed_entities":  float64(m.stats.Entities),
-				"exact_query_ns":    float64(m.exactNs.Nanoseconds()),
-				"prefix_query_ns":   float64(m.prefixNs.Nanoseconds()),
-				"multi_query_ns":    float64(m.multiNs.Nanoseconds()),
-			},
-		})
-	}
-
-	// Warm keyword QPS on the same world the E7r browsing replay uses.
-	db, _ := OnDemandWorld()
-	sr := db.Searcher()
-	stats := sr.Refresh()
-	queries := e12SessionQueries(rand.New(rand.NewSource(41)), 512)
-	qps := measure("E12_KeywordQPS",
-		map[string]any{"facts": 20000, "entities": 2000, "world": "graph(2000,20000)"},
-		func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				sr.Search(queries[i%len(queries)], search.Options{})
-			}
-		})
-	if qps.NsPerOp > 0 {
-		if qps.Extra == nil {
-			qps.Extra = make(map[string]float64)
-		}
-		qps.Extra["qps"] = 1e9 / qps.NsPerOp
-		qps.Extra["index_bytes"] = float64(stats.Bytes)
-	}
-	out = append(out, qps)
-
-	q := MeasureRankingQuality(qualitySeeds)
-	out = append(out, Result{
-		Experiment: "E12_RankingQuality",
-		Params: map[string]any{
-			"worlds": fmt.Sprintf("medium seeds %v", qualitySeeds),
-			"probes": q.ExactProbes + q.SynProbes,
-		},
-		Extra: map[string]float64{
-			"hit_at_1":     q.Hit1,
-			"syn_hit_at_5": q.SynHit5,
-			"mrr_at_10":    q.MRR,
-			"exact_probes": float64(q.ExactProbes),
-			"syn_probes":   float64(q.SynProbes),
-		},
-	})
-	return out
+// E12q measures warm keyword QPS on the world the E7r browsing replay
+// uses.
+var e12q = &Experiment{
+	Name:  "E12q",
+	Title: "keyword search: warm query mix on the browse world",
+	Points: []Point{
+		{"facts": 1000, "entities": 2000, "world": "graph(2000,1000)"},
+		{"facts": 20000, "entities": 2000, "world": "graph(2000,20000)"},
+	},
+	Quick: 1,
+	Ops:   []string{"E12_KeywordQPS"},
+	Setup: func(p Point) (*Fixture, error) {
+		db, _ := OnDemandWorld(p.Int("facts"))
+		sr := db.Searcher()
+		stats := sr.Refresh()
+		queries := e12SessionQueries(rand.New(rand.NewSource(41)), 512)
+		return &Fixture{Ops: []Op{{
+			Reps:   2000,
+			Run:    counted(func(k int) { sr.Search(queries[k%len(queries)], search.Options{}) }),
+			Values: values(map[string]float64{"index_bytes": float64(stats.Bytes)}),
+		}}}, nil
+	},
 }

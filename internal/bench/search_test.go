@@ -1,67 +1,45 @@
 package bench
 
-import (
-	"math/rand"
-	"testing"
-
-	"repro/internal/search"
-)
+import "testing"
 
 // TestE12RankingQuality is the retrieval acceptance gate: on held-out
 // generated worlds, exact-name queries must put the named entity first
 // at least 95% of the time, and synonym-name queries must surface the
 // partner in the top 5 at least 80% of the time.
 func TestE12RankingQuality(t *testing.T) {
-	q := MeasureRankingQuality([]int64{3, 5, 9})
-	if q.ExactProbes == 0 || q.SynProbes == 0 {
-		t.Fatalf("degenerate probe sets: %+v", q)
+	rs, err := e12r.Run(e12r.Points[e12r.Quick:], 1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if q.Hit1 < 0.95 {
-		t.Errorf("exact-name hit@1 = %.3f (%d probes), want >= 0.95", q.Hit1, q.ExactProbes)
+	q := rs[0].Extra
+	if q["exact_probes"] == 0 || q["syn_probes"] == 0 {
+		t.Fatalf("degenerate probe sets: %v", q)
 	}
-	if q.SynHit5 < 0.80 {
-		t.Errorf("synonym hit@5 = %.3f (%d probes), want >= 0.80", q.SynHit5, q.SynProbes)
+	if q["hit_at_1"] < 0.95 {
+		t.Errorf("exact-name hit@1 = %.3f (%g probes), want >= 0.95", q["hit_at_1"], q["exact_probes"])
 	}
-	if q.MRR < q.Hit1 {
-		t.Errorf("MRR@10 %.3f below hit@1 %.3f: reciprocal ranks are broken", q.MRR, q.Hit1)
+	if q["syn_hit_at_5"] < 0.80 {
+		t.Errorf("synonym hit@5 = %.3f (%g probes), want >= 0.80", q["syn_hit_at_5"], q["syn_probes"])
+	}
+	if q["mrr_at_10"] < q["hit_at_1"] {
+		t.Errorf("MRR@10 %.3f below hit@1 %.3f: reciprocal ranks are broken", q["mrr_at_10"], q["hit_at_1"])
 	}
 }
 
+// TestE12SearchScaleSmoke is the E12 smoke: a 20k-fact scale world
+// builds a non-empty index.
 func TestE12SearchScaleSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("scale world in -short mode")
 	}
-	m := measureSearchScale(20_000)
-	if m.stats.Entities == 0 || m.stats.Tokens == 0 || m.stats.Bytes == 0 {
-		t.Fatalf("empty index stats: %+v", m.stats)
-	}
-	if m.buildNs <= 0 || m.exactNs <= 0 {
-		t.Fatalf("non-positive timings: %+v", m)
-	}
-}
-
-// BenchmarkE12_KeywordSearch is the interactive QPS benchmark on the
-// 20k-fact browse world (the E7r world), warm snapshot.
-func BenchmarkE12_KeywordSearch(b *testing.B) {
-	db, _ := OnDemandWorld()
-	sr := db.Searcher()
-	sr.Refresh()
-	queries := e12SessionQueries(rand.New(rand.NewSource(41)), 512)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sr.Search(queries[i%len(queries)], search.Options{})
-	}
-}
-
-// BenchmarkE12_IndexBuild measures one full lazy rebuild of the browse
-// world's index — the unit of work a write-then-search pays.
-func BenchmarkE12_IndexBuild(b *testing.B) {
-	db, _ := OnDemandWorld()
-	st, u := db.Store(), db.Universe()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		search.New(st, u).Refresh()
+	for _, r := range smoke(t, "E12") {
+		if r.Experiment != "E12_IndexBuild" {
+			continue
+		}
+		for _, k := range []string{"indexed_entities", "tokens", "index_bytes"} {
+			if r.Extra[k] <= 0 {
+				t.Errorf("index %s = %g", k, r.Extra[k])
+			}
+		}
 	}
 }

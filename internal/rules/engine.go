@@ -378,8 +378,9 @@ func insertsOnly(chs []store.Change) bool {
 
 // applyIncremental returns a new closure extending the previous
 // snapshot with the consequences of newly inserted base facts. The
-// old snapshot's store and provenance are copied, never mutated.
-// Called with e.mu held.
+// old snapshot's store and provenance are copied, never mutated, so
+// the result is private until published: rebuild publishes it,
+// WouldViolate only inspects it.
 func (e *Engine) applyIncremental(cfg *ruleset, old *snapshot, chs []store.Change) (*store.Store, map[fact.Fact]Provenance) {
 	derived := old.closure.Clone()
 	prov := maps.Clone(old.prov)

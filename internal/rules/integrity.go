@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"repro/internal/fact"
+	"repro/internal/store"
 	"repro/internal/sym"
 )
 
@@ -31,9 +32,15 @@ func (v Violation) Format(u *fact.Universe) string {
 // derived facts are part of the closure) is not a valid database.
 func (e *Engine) Check() []Violation {
 	c, prov := e.closureWithProv()
+	return e.violations(c, prov, e.base.Has)
+}
+
+// violations scans closure c for contradictions; stored reports
+// whether a fact counts as explicit for provenance.
+func (e *Engine) violations(c *store.Store, prov map[fact.Fact]Provenance, stored func(fact.Fact) bool) []Violation {
 	u := e.u
 	why := func(f fact.Fact) string {
-		if e.base.Has(f) {
+		if stored(f) {
 			return "stored"
 		}
 		if w, ok := prov[f]; ok {
@@ -117,21 +124,26 @@ func (e *Engine) Consistent() bool { return len(e.Check()) == 0 }
 
 // WouldViolate reports the new violations that inserting f into the
 // base store would create (violations already present are not
-// re-reported). The store is left unchanged. Used by strict update
-// paths: the paper requires every database state to have a
-// contradiction-free closure (§2.6).
+// re-reported). Used by strict update paths: the paper requires every
+// database state to have a contradiction-free closure (§2.6).
+//
+// The hypothetical is evaluated on a private closure — the published
+// snapshot extended by f through the incremental insert path — that
+// is never published. The store is not touched, so a logged database
+// writes no records and concurrent readers never see f.
 func (e *Engine) WouldViolate(f fact.Fact) []Violation {
 	if e.base.Has(f) {
 		return nil
 	}
+	s := e.current()
 	before := make(map[[2]fact.Fact]struct{})
-	for _, v := range e.Check() {
+	for _, v := range e.violations(s.closure, s.prov, e.base.Has) {
 		before[[2]fact.Fact{v.A, v.B}] = struct{}{}
 	}
-	e.base.Insert(f)
-	defer e.base.Delete(f)
+	c, prov := e.applyIncremental(e.rs.Load(), s, []store.Change{{Fact: f}})
+	stored := func(g fact.Fact) bool { return g == f || e.base.Has(g) }
 	var out []Violation
-	for _, v := range e.Check() {
+	for _, v := range e.violations(c, prov, stored) {
 		if _, old := before[[2]fact.Fact{v.A, v.B}]; !old {
 			out = append(out, v)
 		}

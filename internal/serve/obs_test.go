@@ -74,6 +74,10 @@ func TestMetricsEndpoint(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		// Drain before closing: the chunk terminator is written only
+		// after the handler returns, so EOF orders its deferred gauge
+		// release before the scrape below.
+		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
 		if resp.StatusCode != 200 {
 			t.Fatalf("GET %s: status %d", path, resp.StatusCode)

@@ -1,54 +1,56 @@
 package lsdb_test
 
 // Shape tests: the qualitative claims recorded in EXPERIMENTS.md,
-// asserted programmatically on scaled-down workloads. These do not
-// check absolute timings (machine-dependent) but the *relations*
-// between strategies — who wins, what grows, where behaviour changes.
+// asserted programmatically on the experiment registry's worlds and
+// ops at scaled-down points. These do not check absolute timings
+// (machine-dependent) but the *relations* between strategies — who
+// wins, what grows, where behaviour changes.
 
 import (
 	"testing"
 	"time"
 
-	lsdb "repro"
-	"repro/internal/dataset"
-	"repro/internal/fact"
-	"repro/internal/relstore"
-	"repro/internal/rules"
-	"repro/internal/sym"
+	"repro/internal/bench"
 )
 
-func medianTime(reps int, fn func()) time.Duration {
-	best := time.Duration(1<<62 - 1)
+// setup builds experiment name's world at p.
+func setup(t *testing.T, name string, p bench.Point) (*bench.Experiment, *bench.Fixture) {
+	t.Helper()
+	e := bench.Lookup(name)
+	f, err := e.Setup(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f.Close != nil {
+		t.Cleanup(f.Close)
+	}
+	return e, f
+}
+
+// best is the fastest of reps single runs of op: the least noisy
+// estimate of its cost.
+func best(reps int, op bench.Op) time.Duration {
+	min := time.Duration(1<<62 - 1)
 	for i := 0; i < reps; i++ {
-		start := time.Now()
-		fn()
-		if d := time.Since(start); d < best {
-			best = d
+		if d := op.Time(1); d < min {
+			min = d
 		}
 	}
-	return best
+	return min
+}
+
+// value runs op once and returns one of the values it reports.
+func value(op bench.Op, key string) float64 {
+	op.Run(1)
+	return op.Values()[key]
 }
 
 // E1 shape: the indexed heap answers "everything about X" faster than
-// the schema-blind relational scan, and the gap grows with size.
+// the schema-blind relational scan.
 func TestShapeE1BrowsingBeatsScan(t *testing.T) {
-	cfg := dataset.UniversityConfig{
-		Students: 1000, Courses: 50, Instructors: 20, EnrollPerStudent: 3, Seed: 11,
-	}
-	db := dataset.University(cfg)
-	rdb := relstore.New()
-	tbl, _ := rdb.Create("T", "S", "R", "O")
-	u := db.Universe()
-	for _, f := range db.Store().Facts() {
-		tbl.Insert(u.Name(f.S), u.Name(f.R), u.Name(f.T))
-	}
-	target := db.Entity("STU-00007")
-
-	heap := medianTime(20, func() {
-		db.Store().MatchAll(target, sym.None, sym.None)
-		db.Store().MatchAll(sym.None, sym.None, target)
-	})
-	scan := medianTime(20, func() { rdb.FindEverywhere("STU-00007") })
+	e, f := setup(t, "E1", bench.Point{"students": 1000})
+	heap := best(20, e.Op(f, "E1_Everything/neighborhood"))
+	scan := best(20, e.Op(f, "E1_Everything/relational_scan"))
 	if heap*5 >= scan {
 		t.Errorf("browsing not clearly faster: heap=%v scan=%v", heap, scan)
 	}
@@ -57,22 +59,17 @@ func TestShapeE1BrowsingBeatsScan(t *testing.T) {
 // E3 shape: the closure is strictly larger than the base, grows with
 // taxonomy depth, and shrinks when inheritance is excluded.
 func TestShapeE3ClosureGrowth(t *testing.T) {
-	sizes := map[int]int{}
+	sizes := map[int]float64{}
 	for _, d := range []int{2, 3, 4} {
-		db := dataset.Taxonomy(dataset.TaxonomyConfig{
-			Branching: 2, Depth: d, MembersPerLeaf: 2, FactsPerClass: 1, Seed: 5,
-		})
-		base, closure := db.Len(), db.ClosureLen()
+		e, f := setup(t, "E3", bench.Point{"depth": d})
+		full := e.Op(f, "E3_Closure/full").Values()
+		base, closure := full["base_facts"], full["closure_facts"]
 		if closure <= base {
-			t.Errorf("depth %d: closure %d not larger than base %d", d, closure, base)
+			t.Errorf("depth %d: closure %g not larger than base %g", d, closure, base)
 		}
 		sizes[d] = closure
-
-		eng := db.Engine()
-		eng.Exclude(rules.GenSource)
-		eng.Exclude(rules.MemberSource)
-		if got := db.ClosureLen(); got >= closure {
-			t.Errorf("depth %d: excluding inheritance did not shrink closure (%d >= %d)", d, got, closure)
+		if got := e.Op(f, "E3_Closure/no_inheritance").Values()["closure_facts"]; got >= closure {
+			t.Errorf("depth %d: excluding inheritance did not shrink closure (%g >= %g)", d, got, closure)
 		}
 	}
 	if !(sizes[2] < sizes[3] && sizes[3] < sizes[4]) {
@@ -83,19 +80,15 @@ func TestShapeE3ClosureGrowth(t *testing.T) {
 // E5 shape: composition path counts are monotone in limit(n), zero at
 // n=1.
 func TestShapeE5CompositionMonotone(t *testing.T) {
-	db, names := dataset.Graph(dataset.GraphConfig{
-		Entities: 120, Facts: 500, Relationships: 4, Seed: 13,
-	})
-	src, tgt := db.Entity(names[0]), db.Entity(names[5])
-	prev := -1
+	prev := -1.0
 	for _, n := range []int{1, 2, 3, 4} {
-		db.Limit(n)
-		count := len(db.Composer().Paths(src, tgt))
+		e, f := setup(t, "E5", bench.Point{"limit": n})
+		count := value(e.Op(f, "E5_Composition/paths"), "paths")
 		if n == 1 && count != 0 {
-			t.Errorf("limit 1 found %d paths", count)
+			t.Errorf("limit 1 found %g paths", count)
 		}
 		if count < prev {
-			t.Errorf("paths shrank: limit %d -> %d paths (prev %d)", n, count, prev)
+			t.Errorf("paths shrank: limit %d -> %g paths (prev %g)", n, count, prev)
 		}
 		prev = count
 	}
@@ -103,39 +96,22 @@ func TestShapeE5CompositionMonotone(t *testing.T) {
 
 // E6 shape: neighborhood cost tracks degree, not database size.
 func TestShapeE6NavigationDegreeNotSize(t *testing.T) {
-	small, namesS := dataset.Graph(dataset.GraphConfig{
-		Entities: 500, Facts: 2000, Relationships: 4, Seed: 17,
-	})
-	big, namesB := dataset.Graph(dataset.GraphConfig{
-		Entities: 500, Facts: 20000, Relationships: 4, Seed: 17,
-	})
-	small.ClosureLen()
-	big.ClosureLen()
-	// Pick the minimum-degree entity in each graph.
-	minDeg := func(db *lsdb.Database, names []string) (sym.ID, int) {
-		bestID, bestDeg := sym.None, 1<<30
-		for _, n := range names {
-			id := db.Entity(n)
-			if d := db.Store().Degree(id); d > 0 && d < bestDeg {
-				bestID, bestDeg = id, d
-			}
+	const op = "E6_Neighborhood/rank=200"
+	perDegree := func(facts int) (float64, float64) {
+		e, f := setup(t, "E6", bench.Point{"facts": facts})
+		o := e.Op(f, op)
+		deg := o.Values()["degree"]
+		if deg == 0 {
+			t.Skipf("rank-200 entity unconnected at %d facts", facts)
 		}
-		return bestID, bestDeg
+		return float64(best(30, o)) / deg, deg
 	}
-	tailS, degS := minDeg(small, namesS)
-	tailB, degB := minDeg(big, namesB)
-	if tailS == sym.None || tailB == sym.None {
-		t.Skip("no connected entities")
-	}
-	ds := medianTime(30, func() { small.Browser().Neighborhood(tailS) })
-	dbt := medianTime(30, func() { big.Browser().Neighborhood(tailB) })
-	// Normalize per unit of degree: a 10× larger database must not
-	// slow per-degree neighborhood retrieval by more than generous
-	// noise allows.
-	perS := float64(ds) / float64(degS)
-	perB := float64(dbt) / float64(degB)
+	perS, degS := perDegree(2000)
+	perB, degB := perDegree(20000)
+	// A 10× larger database must not slow per-degree neighborhood
+	// retrieval by more than generous noise allows.
 	if perB > perS*8 {
-		t.Errorf("per-degree neighborhood cost scaled with database size: %.0fns vs %.0fns (deg %d vs %d)",
+		t.Errorf("per-degree neighborhood cost scaled with database size: %.0fns vs %.0fns (deg %g vs %g)",
 			perS, perB, degS, degB)
 	}
 }
@@ -144,28 +120,13 @@ func TestShapeE6NavigationDegreeNotSize(t *testing.T) {
 // on-demand matching by a wide margin, and the cross-query subgoal
 // cache closes most of that gap for repeated queries.
 func TestShapeE7MaterializedWins(t *testing.T) {
-	db := dataset.Taxonomy(dataset.TaxonomyConfig{
-		Branching: 2, Depth: 3, MembersPerLeaf: 2, FactsPerClass: 1, Seed: 23,
-	})
-	eng := db.Engine()
-	leaf := db.Entity("I-C0.0.0.0-0")
-	eng.Closure()
-	mat := medianTime(20, func() { eng.MatchAll(leaf, sym.None, sym.None) })
-
-	eng.SetSubgoalCache(false)
-	cold := medianTime(3, func() {
-		eng.MatchBounded(leaf, sym.None, sym.None, 4, func(fact.Fact) bool { return true })
-	})
+	e, f := setup(t, "E7", bench.Point{"depth": 4})
+	warm := best(20, e.Op(f, "E7_OnDemandBounded/warm"))
+	mat := best(20, e.Op(f, "E7_Materialized"))
+	cold := best(3, e.Op(f, "E7_OnDemandBounded/cold"))
 	if mat*10 >= cold {
 		t.Errorf("materialized not clearly faster than cold on-demand: %v vs %v", mat, cold)
 	}
-
-	eng.SetSubgoalCache(true)
-	warmup := func() {
-		eng.MatchBounded(leaf, sym.None, sym.None, 4, func(fact.Fact) bool { return true })
-	}
-	warmup()
-	warm := medianTime(20, warmup)
 	if warm*2 >= cold {
 		t.Errorf("subgoal cache not clearly faster than cold on-demand: %v vs %v", warm, cold)
 	}
@@ -175,20 +136,9 @@ func TestShapeE7MaterializedWins(t *testing.T) {
 // generalization distance.
 func TestShapeE8ClimbDepth(t *testing.T) {
 	for _, d := range []int{2, 3, 5} {
-		db := dataset.Taxonomy(dataset.TaxonomyConfig{
-			Branching: 2, Depth: d, MembersPerLeaf: 0, FactsPerClass: 1, Seed: 3,
-		})
-		db.MustAssert("ROOT-INSTANCE", "in", "C0")
-		leaf := "C0"
-		for i := 0; i < d; i++ {
-			leaf += ".0"
-		}
-		out, err := db.Probe("(?x, in, " + leaf + ")")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(out.Waves) != d {
-			t.Errorf("depth %d: %d waves", d, len(out.Waves))
+		e, f := setup(t, "E8", bench.Point{"branching": 2, "depth": d})
+		if waves := value(e.Op(f, "E8_Probe/climb"), "waves"); waves != float64(d) {
+			t.Errorf("depth %d: %g waves", d, waves)
 		}
 	}
 }
