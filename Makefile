@@ -108,6 +108,7 @@ check-repl:
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -run xxx -fuzz FuzzSnapshot -fuzztime $(FUZZTIME) ./internal/store
+	$(GO) test -run xxx -fuzz FuzzBuildPostings -fuzztime $(FUZZTIME) ./internal/store
 	$(GO) test -run xxx -fuzz FuzzLogReplay -fuzztime $(FUZZTIME) ./internal/store
 	$(GO) test -run xxx -fuzz FuzzParseRule -fuzztime $(FUZZTIME) ./internal/rules
 	$(GO) test -run xxx -fuzz FuzzLoad -fuzztime $(FUZZTIME) ./internal/factfile
@@ -122,13 +123,16 @@ SOAKFLAGS ?=
 soak:
 	$(GO) run ./cmd/lsdb-check -seeds $(SEEDS) $(SOAKFLAGS)
 
-# Sealed-vs-mutable differential on a Zipf scale world, with the
-# concurrent probe goroutines under the race detector. SCALEFACTS=1000000
-# for a million-fact run.
+# Sealed-vs-mutable differential on a Zipf scale world — the
+# single-segment sealed store and a segment stack grown through
+# Extend — with the concurrent probe goroutines under the race
+# detector, plus a short fuzz of the linear posting builder against
+# its reference. SCALEFACTS=1000000 for a million-fact run.
 SCALEFACTS ?= 200000
 check-scale:
 	LSDB_SCALE_FACTS=$(SCALEFACTS) $(GO) test -race -count=1 -run TestSealedVsMutableScale ./internal/check
 	$(GO) run ./cmd/lsdb-check -seeds 10 -scale $(SCALEFACTS)
+	$(GO) test -run xxx -fuzz FuzzBuildPostings -fuzztime 5s ./internal/store
 
 # Tier-1 verification plus the race detector, a short soak, and a
 # brief pass over every fuzz target.

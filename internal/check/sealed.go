@@ -1,15 +1,19 @@
 package check
 
-// Sealed-vs-mutable differential oracles. Sealing a store swaps its
-// six hash indexes for the compressed posting-list index
-// (store/postings.go) behind the same read interface; these oracles
-// demand that the swap is invisible: every template class, every
-// count, every estimate, and every whole-store view must answer
-// identically from both representations.
+// Sealed-vs-mutable differential oracles. A sealed store answers the
+// read interface from a compressed posting-list index
+// (store/postings.go) instead of six hash indexes, and may hold it as
+// a stack of disjoint segments grown by Extend (store/segments.go);
+// these oracles demand that neither is visible: every template class,
+// every count, every estimate, and every whole-store view must answer
+// identically from the mutable store, the single-segment sealed store
+// and any segment stack over the same facts.
 
 import (
 	"fmt"
+	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 
 	"repro/internal/fact"
@@ -23,8 +27,9 @@ import (
 const sealedProbeCap = 100
 
 // compareStores runs the full read-interface comparison between a
-// mutable store and its sealed counterpart over every template class.
-// Both stores must share one universe. name labels failures.
+// reference store (mutable, or a single-segment sealed store) and a
+// sealed counterpart over every template class. Both stores must
+// share one universe. name labels failures.
 func compareStores(u *fact.Universe, mut, sealed *store.Store, name string) *Failure {
 	fail := func(format string, args ...any) *Failure {
 		return &Failure{Oracle: "sealed-vs-mutable", Detail: name + ": " + fmt.Sprintf(format, args...)}
@@ -80,7 +85,13 @@ func compareStores(u *fact.Universe, mut, sealed *store.Store, name string) *Fai
 		}
 	}
 
-	// Membership agreement for every stored fact plus perturbations.
+	// Membership agreement for every stored fact plus perturbations,
+	// and the sealed whole-fact view against the reference.
+	for _, f := range sealed.Facts() {
+		if !mut.Has(f) {
+			return fail("sealed Facts has extra %v", f)
+		}
+	}
 	for i, f := range mut.Facts() {
 		if !sealed.Has(f) {
 			return fail("sealed missing stored fact %v", f)
@@ -124,25 +135,80 @@ func compareStores(u *fact.Universe, mut, sealed *store.Store, name string) *Fai
 	return nil
 }
 
-// SealedVsMutable checks that sealing is invisible to readers on both
-// stores a world carries: the base store (mutable vs sealed clone) and
-// the closure store (sealed vs mutable clone).
+// segmentStack grows a sealed store through Extend from fs split into
+// random disjoint batches. Odd draws cut at random points, so tier
+// merges fire irregularly; even draws give each batch 4/5 of the
+// remainder, a shape no merge touches, so the stack keeps one segment
+// per batch.
+func segmentStack(u *fact.Universe, fs []fact.Fact, rng *rand.Rand) *store.Store {
+	fs = slices.Clone(fs)
+	rng.Shuffle(len(fs), func(i, j int) { fs[i], fs[j] = fs[j], fs[i] })
+	var cuts []int
+	if rng.Intn(2) == 0 {
+		for i := len(fs) / 5; i > 0; i /= 5 {
+			cuts = append(cuts, len(fs)-i)
+		}
+	} else {
+		for k := 1 + rng.Intn(7); k > 0; k-- {
+			cuts = append(cuts, rng.Intn(len(fs)+1))
+		}
+		slices.Sort(cuts)
+	}
+	cuts = append(cuts, len(fs))
+	st := store.SealedFromFacts(u, slices.Clone(fs[:cuts[0]]))
+	for i := 1; i < len(cuts); i++ {
+		st = st.Extend(slices.Clone(fs[cuts[i-1]:cuts[i]]))
+	}
+	return st
+}
+
+// compareStack checks a segment stack over the reference's facts
+// against both the mutable reference and the single-segment store
+// SealedFromFacts builds over the union, and checks that compacting
+// the stack reproduces that single segment.
+func compareStack(u *fact.Universe, mut, stack *store.Store, name string) *Failure {
+	flat := store.SealedFromFacts(u, mut.Facts())
+	if f := compareStores(u, mut, stack, name+" stack"); f != nil {
+		return f
+	}
+	if f := compareStores(u, flat, stack, name+" stack vs single segment"); f != nil {
+		return f
+	}
+	c := stack.Compact()
+	if c.Segments() != 1 || c.IndexStats() != flat.IndexStats() || !slices.Equal(c.Facts(), flat.Facts()) {
+		return &Failure{Oracle: "sealed-vs-mutable", Detail: fmt.Sprintf(
+			"%s: compacted %d-segment stack differs from SealedFromFacts (%+v vs %+v)",
+			name, stack.Segments(), c.IndexStats(), flat.IndexStats())}
+	}
+	return nil
+}
+
+// SealedVsMutable checks that the sealed forms are invisible to
+// readers on both stores a world carries: the base store (mutable vs
+// its sealed twin and vs a segment stack of its facts) and the
+// closure store (published sealed vs a mutable twin, and the
+// published store's single segment).
 func SealedVsMutable(w *gen.World) *Failure {
 	db := w.Build()
 	u := db.Universe()
+	rng := rand.New(rand.NewSource(w.Seed))
 
 	base := db.Store()
-	sealedBase := base.Clone()
-	sealedBase.Seal()
-	if f := compareStores(u, base, sealedBase, "base"); f != nil {
+	if f := compareStores(u, base, store.SealedFromFacts(u, base.Facts()), "base"); f != nil {
 		return f
+	}
+	if base.Len() > 0 {
+		if f := compareStack(u, base, segmentStack(u, base.Facts(), rng), "base"); f != nil {
+			return f
+		}
 	}
 
 	closure := db.Engine().Closure() // published sealed
-	mutClosure := closure.Clone()    // clone of sealed is mutable
-	if mutClosure.Sealed() {
-		return &Failure{Oracle: "sealed-vs-mutable", Detail: "closure clone is sealed"}
+	if n := closure.Segments(); n != 1 {
+		return &Failure{Oracle: "sealed-vs-mutable", Detail: fmt.Sprintf("published closure has %d segments", n)}
 	}
+	mutClosure := store.New(u)
+	mutClosure.InsertAll(closure.Facts())
 	return compareStores(u, mutClosure, closure, "closure")
 }
 
@@ -157,14 +223,19 @@ func SealedVsMutableScale(cfg gen.ScaleConfig) *Failure {
 	u := fact.NewUniverse()
 	sealed := gen.BuildScaleStore(u, cfg)
 	mut := gen.BuildScaleMutable(u, cfg)
+	stack := segmentStack(u, sealed.Facts(), rand.New(rand.NewSource(cfg.Seed)))
 
-	if f := compareStores(u, mut, sealed, fmt.Sprintf("scale(%d)", cfg.Facts)); f != nil {
+	name := fmt.Sprintf("scale(%d)", cfg.Facts)
+	if f := compareStores(u, mut, sealed, name); f != nil {
+		return f
+	}
+	if f := compareStack(u, mut, stack, name); f != nil {
 		return f
 	}
 
 	// Concurrent probe goroutines over disjoint fact ranges: readers
 	// must agree with the mutable reference while sharing the sealed
-	// index without locks.
+	// index and the segment stack without locks.
 	workers := min(4, runtime.GOMAXPROCS(0))
 	if workers < 2 {
 		workers = 2
@@ -186,21 +257,30 @@ func SealedVsMutableScale(cfg gen.ScaleConfig) *Failure {
 			}
 			for i := g; i < len(facts); i += workers * 97 {
 				f := facts[i]
-				if !sealed.Has(f) {
-					fail("sealed lost %v", f)
-					return
-				}
-				if mut.Count(sym.None, f.R, f.T) != sealed.Count(sym.None, f.R, f.T) {
-					fail("Count(·,%s,%s) disagrees", u.Name(f.R), u.Name(f.T))
-					return
-				}
-				if mut.EstimateCount(f.S, f.R, sym.None) != sealed.EstimateCount(f.S, f.R, sym.None) {
-					fail("EstimateCount(%s,%s,·) disagrees", u.Name(f.S), u.Name(f.R))
-					return
-				}
-				if len(mut.MatchAll(f.S, sym.None, f.T)) != len(sealed.MatchAll(f.S, sym.None, f.T)) {
-					fail("MatchAll(%s,·,%s) disagrees", u.Name(f.S), u.Name(f.T))
-					return
+				for _, st := range []struct {
+					name string
+					s    *store.Store
+				}{{"sealed", sealed}, {"stack", stack}} {
+					if !st.s.Has(f) {
+						fail("%s lost %v", st.name, f)
+						return
+					}
+					if mut.Count(sym.None, f.R, f.T) != st.s.Count(sym.None, f.R, f.T) {
+						fail("%s Count(·,%s,%s) disagrees", st.name, u.Name(f.R), u.Name(f.T))
+						return
+					}
+					if mut.EstimateCount(f.S, f.R, sym.None) != st.s.EstimateCount(f.S, f.R, sym.None) {
+						fail("%s EstimateCount(%s,%s,·) disagrees", st.name, u.Name(f.S), u.Name(f.R))
+						return
+					}
+					if len(mut.MatchAll(f.S, sym.None, f.T)) != len(st.s.MatchAll(f.S, sym.None, f.T)) {
+						fail("%s MatchAll(%s,·,%s) disagrees", st.name, u.Name(f.S), u.Name(f.T))
+						return
+					}
+					if mut.Degree(f.T) != st.s.Degree(f.T) || !st.s.HasEntity(f.R) {
+						fail("%s Degree/HasEntity disagree at %v", st.name, f)
+						return
+					}
 				}
 			}
 		}(g)

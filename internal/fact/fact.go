@@ -13,6 +13,7 @@
 package fact
 
 import (
+	"cmp"
 	"fmt"
 	"strconv"
 	"strings"
@@ -24,6 +25,19 @@ import (
 // Fact is a named pair of entities: (source, relationship, target).
 type Fact struct {
 	S, R, T sym.ID
+}
+
+// Compare orders facts by (S, R, T), returning -1, 0 or +1. It is the
+// one fact order of the system: sealed store arrays, closure frontiers
+// and provenance premises all sort by it (slices.SortFunc(fs, Compare)).
+func Compare(a, b Fact) int {
+	if c := cmp.Compare(a.S, b.S); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.R, b.R); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.T, b.T)
 }
 
 // Var identifies a template variable. Variables are scoped to the

@@ -1,7 +1,7 @@
 package rules
 
 import (
-	"sort"
+	"slices"
 	"sync"
 
 	"repro/internal/fact"
@@ -19,52 +19,67 @@ type derivation struct {
 }
 
 // computeClosure materializes the closure of the base store under the
-// active rules by frontier-based semi-naive forward chaining: each
-// round joins every fact of the current frontier (the facts first
-// obtained in the previous round) against everything derived so far,
-// and the new facts form the next frontier, until a fixpoint.
+// active rules: the stored facts, sealed as one posting segment, plus
+// the axioms, closed under the rules by closeRounds. The sealed seed
+// is sorted by (S, R, T), which fixes the generation-0 frontier order.
 // Termination is guaranteed because derived facts only combine
-// entities already in the universe.
+// entities already in the universe. Called with e.mu held.
+func (e *Engine) computeClosure(cfg *ruleset) (*store.Store, map[fact.Fact]Provenance) {
+	derived := store.SealedFromFacts(e.u, e.base.Facts())
+	prov := make(map[fact.Fact]Provenance)
+	frontier := derived.MatchAll(sym.None, sym.None, sym.None)
+	var axioms []fact.Fact
+	for _, ax := range e.axiomFacts() {
+		if !derived.Has(ax.f) {
+			prov[ax.f] = Provenance{Rule: ax.why}
+			axioms = append(axioms, ax.f)
+		}
+	}
+	frontier = append(frontier, axioms...)
+	derived = derived.Extend(axioms)
+	return e.closeRounds(cfg, derived, frontier, prov, true), prov
+}
+
+// closeRounds extends derived to a fixpoint of the rules by
+// frontier-based semi-naive forward chaining, and returns the result.
+// Each round joins every frontier fact — the facts first obtained in
+// the previous round, all already in derived — against everything in
+// derived, and the round's new facts become the next frontier and one
+// new segment of derived (store.Extend). It is the one round loop of
+// the engine: full builds, incremental inserts and delete-and-rederive
+// all end in it.
 //
 // Rounds are data-parallel: the frontier is partitioned into
-// contiguous chunks, one worker per chunk, all joining against the
-// same store — which no one mutates until the round's sequential
-// merge. The merge concatenates chunk outputs in partition order, so
-// the insertion order (and with it every first-wins provenance
-// record and index bucket order) is identical for any worker count.
-// The generation-0 frontier is sorted to pin down the one remaining
-// source of nondeterminism, map iteration over the base fact set.
-// Called with e.mu held.
-func (e *Engine) computeClosure(cfg *ruleset) (*store.Store, map[fact.Fact]Provenance) {
-	derived := e.base.Clone()
-	prov := make(map[fact.Fact]Provenance)
-
-	var next []fact.Fact
-	push := func(d derivation) {
-		if derived.Insert(d.f) {
-			sortPremises(d.premises)
+// contiguous chunks, one worker per chunk, all reading the same sealed
+// store without locks. The sequential merge walks chunk outputs in
+// partition order, keeps the first derivation of each fact — a set
+// local to the round removes the duplicates, since workers only filter
+// against derived — and records its provenance in prov. The candidate
+// order, and with it every first-wins provenance record, is therefore
+// identical for any worker count. full marks a full build, whose
+// rounds alone feed the round and frontier metrics.
+func (e *Engine) closeRounds(cfg *ruleset, derived *store.Store, frontier []fact.Fact, prov map[fact.Fact]Provenance, full bool) *store.Store {
+	for len(frontier) > 0 {
+		if full {
+			e.m.rounds.Inc()
+			e.m.frontier.Observe(int64(len(frontier)))
+		}
+		cands := e.deriveRound(cfg, frontier, derived)
+		seen := make(map[fact.Fact]struct{}, len(cands))
+		next := make([]fact.Fact, 0, len(cands))
+		for _, d := range cands {
+			if _, dup := seen[d.f]; dup {
+				continue
+			}
+			seen[d.f] = struct{}{}
+			slices.SortFunc(d.premises, fact.Compare)
 			prov[d.f] = Provenance{Rule: d.why, Premises: d.premises}
 			next = append(next, d.f)
 		}
+		derived = derived.Extend(slices.Clone(next))
+		frontier = next
 	}
-
-	frontier := derived.Facts()
-	sortFacts(frontier)
-	for _, ax := range e.axiomFacts() {
-		push(ax)
-	}
-	frontier = append(frontier, next...)
-	next = nil
-
-	for len(frontier) > 0 {
-		e.m.rounds.Inc()
-		e.m.frontier.Observe(int64(len(frontier)))
-		for _, d := range e.deriveRound(cfg, frontier, derived) {
-			push(d)
-		}
-		frontier, next = next, frontier[:0]
-	}
-	return derived, prov
+	return derived
 }
 
 // parallelThreshold is the frontier size below which a round runs on
@@ -73,7 +88,7 @@ func (e *Engine) computeClosure(cfg *ruleset) (*store.Store, map[fact.Fact]Prove
 const parallelThreshold = 64
 
 // deriveRound computes every one-step derivation from the frontier
-// facts against derived, without mutating derived. Output order is
+// facts against the sealed store derived. Output order is
 // deterministic: the concatenation of per-fact derivations in
 // frontier order, regardless of how many workers ran.
 func (e *Engine) deriveRound(cfg *ruleset, frontier []fact.Fact, derived *store.Store) []derivation {
@@ -105,42 +120,15 @@ func (e *Engine) deriveRound(cfg *ruleset, frontier []fact.Fact, derived *store.
 		}(w, lo, hi)
 	}
 	wg.Wait()
-	var out []derivation
+	n := 0
+	for _, c := range chunks {
+		n += len(c)
+	}
+	out := make([]derivation, 0, n)
 	for _, c := range chunks {
 		out = append(out, c...)
 	}
 	return out
-}
-
-// sortFacts orders facts by (S, R, T) so generation-0 processing is
-// deterministic across builds.
-func sortFacts(fs []fact.Fact) {
-	sort.Slice(fs, func(i, j int) bool {
-		a, b := fs[i], fs[j]
-		if a.S != b.S {
-			return a.S < b.S
-		}
-		if a.R != b.R {
-			return a.R < b.R
-		}
-		return a.T < b.T
-	})
-}
-
-// sortPremises orders premise facts deterministically (the closure
-// worklist order depends on map iteration, so the same fact can be
-// derived with its premises discovered in either order).
-func sortPremises(ps []fact.Fact) {
-	sort.Slice(ps, func(i, j int) bool {
-		a, b := ps[i], ps[j]
-		if a.S != b.S {
-			return a.S < b.S
-		}
-		if a.R != b.R {
-			return a.R < b.R
-		}
-		return a.T < b.T
-	})
 }
 
 // axiomFacts returns the built-in facts the paper postulates:

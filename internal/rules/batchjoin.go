@@ -259,7 +259,7 @@ func joinBatchAtom(ev joinEval, atom fact.Template, col int, batch []binding, em
 		if c := cmpID(colOf(a), colOf(b)); c != 0 {
 			return c
 		}
-		return cmpFact(a, b) // deterministic order within a value run
+		return fact.Compare(a, b) // deterministic order within a value run
 	})
 	valp := getIDBuf()
 	vals := *valp

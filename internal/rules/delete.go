@@ -11,8 +11,8 @@ import (
 
 // Incremental closure maintenance under deletion (DRed-style).
 //
-// The forward rules are monotonic, so insertions extend the closure in
-// place (applyIncremental). Deletions are not: retracting one base
+// The forward rules are monotonic, so insertions only extend the
+// closure (applyIncremental). Deletions are not: retracting one base
 // fact can invalidate a cone of derived facts, and before this file
 // existed any change window containing a delete forced a full rebuild
 // — O(closure) work to retract one leaf. applyDeletes instead runs the
@@ -25,21 +25,22 @@ import (
 //     fact with some derivation touching a deleted fact — joins the
 //     overdeleted cone. This over-approximates the truly dead set.
 //
-//  2. Prune: clone the old closure (COW — published snapshots are
-//     never mutated) and remove the cone, with its provenance.
+//  2. Prune: seal the old closure's facts minus the cone into a new
+//     store (published snapshots are never mutated), and drop the
+//     cone's provenance.
 //
 //  3. Rederive: a cone fact may have an alternative derivation that
 //     never touched a deleted fact. Scan the cone in canonical order
 //     and reinstate facts that are stored in the (new) base, are
-//     axioms, or have a one-step derivation from surviving facts
+//     axioms, or have a one-step derivation from the pruned store
 //     (derive1, the head-directed mirror of deriveFrom). Reinstated
 //     facts seed a frontier.
 //
-//  4. Propagate: semi-naive forward chaining from the frontier (plus
-//     any net-inserted base facts of the same window) restores the
+//  4. Propagate: semi-naive rounds (closeRounds) from the frontier
+//     plus any net-inserted base facts of the same window restore the
 //     remainder of the cone that is still derivable — a fact whose
-//     alternative support appears only after another cone fact is
-//     reinstated is found here — and folds in the window's inserts.
+//     support is another reinstated cone fact is found here — and
+//     fold in the window's inserts.
 //
 // The result equals computeClosure on the new base. Two escape
 // hatches return ok=false and fall back to a full rebuild: a cone
@@ -118,59 +119,54 @@ func (e *Engine) applyDeletes(cfg *ruleset, old *snapshot, chs []store.Change) (
 		}
 	}
 
-	// Phase 2: prune the cone from a copy.
-	derived := oldC.Clone()
+	// Phase 2: prune the cone. The old closure is a published
+	// single-segment store; its facts minus the cone seal into a new
+	// one (already in order, so the build skips the sort).
+	kept := oldC.Facts()
+	kept = slices.DeleteFunc(kept, func(f fact.Fact) bool { return over[f] })
+	pruned := store.SealedFromFacts(u, kept)
 	prov := maps.Clone(old.prov)
 	for _, f := range cone {
-		derived.Delete(f)
 		delete(prov, f)
 	}
 
-	// Phase 3: rederive cone facts with surviving support. sortFacts
-	// pins the scan (and thus first-wins provenance) deterministically.
-	sortFacts(cone)
+	// Phase 3: reinstate cone facts with support outside the cone:
+	// still stored, an axiom, or a one-step derivation from the pruned
+	// store. The scan runs in canonical order, which pins first-wins
+	// provenance; a cone fact whose support is another reinstated fact
+	// is left to phase 4.
+	slices.SortFunc(cone, fact.Compare)
 	axioms := e.axiomFactList()
-	var frontier []fact.Fact
+	var seed []fact.Fact
 	for _, f := range cone {
 		switch {
 		case e.base.Has(f):
 			// Still a stored fact (the deletes hit other facts; this one
 			// was merely reachable from them).
-			if derived.Insert(f) {
-				frontier = append(frontier, f)
-			}
 		case slices.Contains(axioms, f):
-			if derived.Insert(f) {
-				prov[f] = Provenance{Rule: "axiom"}
-				frontier = append(frontier, f)
-			}
+			prov[f] = Provenance{Rule: "axiom"}
 		default:
-			if p, ok := e.derive1(cfg, f, derived); ok && derived.Insert(f) {
-				sortPremises(p.Premises)
-				prov[f] = p
-				frontier = append(frontier, f)
+			p, ok := e.derive1(cfg, f, pruned)
+			if !ok {
+				continue
 			}
+			slices.SortFunc(p.Premises, fact.Compare)
+			prov[f] = p
 		}
+		seed = append(seed, f)
 	}
 
-	// Phase 4: forward propagation from the reinstated facts and the
-	// window's net inserts.
+	// Phase 4: forward rounds from the reinstated facts and the
+	// window's net inserts restore the rest of the cone that is still
+	// derivable and fold in the inserts. A net insert in the cone is
+	// stored, so phase 3 already reinstated it.
 	for _, f := range ins {
-		if derived.Insert(f) {
-			frontier = append(frontier, f)
+		if !over[f] && !pruned.Has(f) {
+			seed = append(seed, f)
 		}
 	}
-	for i := 0; i < len(frontier); i++ {
-		buf = e.deriveFrom(cfg, frontier[i], derived, false, buf[:0])
-		for _, d := range buf {
-			if derived.Insert(d.f) {
-				sortPremises(d.premises)
-				prov[d.f] = Provenance{Rule: d.why, Premises: d.premises}
-				frontier = append(frontier, d.f)
-			}
-		}
-	}
-	return derived, prov, len(cone), true
+	derived := pruned.Extend(slices.Clone(seed))
+	return e.closeRounds(cfg, derived, seed, prov, false), prov, len(cone), true
 }
 
 // derive1 reports whether goal g has a one-step derivation from the

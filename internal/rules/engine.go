@@ -25,10 +25,13 @@ import (
 // The closure is materialized lazily by semi-naive forward chaining
 // and published as an immutable snapshot (sealed closure store +
 // provenance map + the base/config versions it reflects) through an
-// atomic pointer. A batch of pure insertions is folded in by cloning
-// the previous snapshot and extending the copy (the rules are
-// monotonic); deletions and rule toggling force a recomputation.
-// Cold builds partition each derivation round across worker
+// atomic pointer. Closures are built in sealed posting form: every
+// derivation round adds one segment to a sealed store (store.Extend),
+// and publish compacts the stack to a single segment. A batch of pure
+// insertions extends the previous snapshot's closure by new segments
+// sharing it (the rules are monotonic); deletions are repaired by
+// delete-and-rederive (delete.go); rule toggling forces a full
+// recomputation. Each derivation round is partitioned across worker
 // goroutines (see apply.go).
 //
 // Concurrency: any number of goroutines may query concurrently, and
@@ -46,7 +49,7 @@ type Engine struct {
 	mu         sync.Mutex
 	rs         atomic.Pointer[ruleset]
 	cfgVersion atomic.Uint64
-	workers    int // closure build parallelism; 0 = GOMAXPROCS
+	workers    atomic.Int32 // closure build parallelism; 0 = GOMAXPROCS
 
 	snap atomic.Pointer[snapshot]
 
@@ -126,12 +129,7 @@ func (e *Engine) Universe() *fact.Universe { return e.u }
 // n <= 0 restores the default (GOMAXPROCS). Worker count never
 // affects the computed closure or its provenance, only build latency.
 func (e *Engine) SetWorkers(n int) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if n < 0 {
-		n = 0
-	}
-	e.workers = n
+	e.workers.Store(int32(max(n, 0)))
 }
 
 // Include enables a standard rule (§6.1 include operator).
@@ -300,11 +298,12 @@ func (e *Engine) rebuild() *snapshot {
 	cfg := e.rs.Load()
 
 	// Incremental maintenance: the rules are monotonic, so a batch of
-	// pure insertions extends the previous closure by a semi-naive
-	// pass seeded with just the new facts, applied to a copy (readers
-	// of the old snapshot are never disturbed). Deletions
-	// (non-monotonic), rule changes, and a stale history force a full
-	// recomputation.
+	// pure insertions extends the previous closure by semi-naive
+	// rounds seeded with just the new facts, on segments stacked over
+	// the old closure (readers of the old snapshot are never
+	// disturbed). Deletions (non-monotonic) go through
+	// delete-and-rederive; rule changes and a stale history force a
+	// full recomputation.
 	var t0 time.Time
 	if e.m.rebuildNs != nil {
 		t0 = time.Now()
@@ -350,14 +349,15 @@ func (e *Engine) rebuild() *snapshot {
 }
 
 func (e *Engine) publish(c *store.Store, prov map[fact.Fact]Provenance, bv, cv uint64) *snapshot {
-	// Sealing swaps the closure's hash indexes for the compressed
-	// posting-list form (store/postings.go); it is the index build of
-	// every published snapshot, so its cost is tracked explicitly.
+	// Every published closure is compacted to a single posting segment,
+	// so readers see one index and one result order whatever path
+	// built it. The compaction is the index build of every published
+	// snapshot, so its cost is tracked explicitly.
 	var t0 time.Time
 	if e.m.sealNs != nil {
 		t0 = time.Now()
 	}
-	c.Seal()
+	c = c.Compact()
 	if e.m.sealNs != nil {
 		e.m.sealNs.Observe(time.Since(t0).Nanoseconds())
 	}
@@ -377,38 +377,23 @@ func insertsOnly(chs []store.Change) bool {
 }
 
 // applyIncremental returns a new closure extending the previous
-// snapshot with the consequences of newly inserted base facts. The
-// old snapshot's store and provenance are copied, never mutated, so
-// the result is private until published: rebuild publishes it,
-// WouldViolate only inspects it.
+// snapshot with the consequences of newly inserted base facts: the
+// facts the old closure lacks become a segment on top of it and the
+// frontier of closeRounds. The old snapshot's store and provenance are
+// shared or copied, never mutated, so the result is private until
+// published: rebuild publishes it, WouldViolate only inspects it. A
+// new base fact the old closure already derived keeps its derivation
+// (base.Has wins in Explain) and adds no consequences.
 func (e *Engine) applyIncremental(cfg *ruleset, old *snapshot, chs []store.Change) (*store.Store, map[fact.Fact]Provenance) {
-	derived := old.closure.Clone()
 	prov := maps.Clone(old.prov)
-	var work []fact.Fact
-	push := func(d derivation) {
-		if derived.Insert(d.f) {
-			sortPremises(d.premises)
-			prov[d.f] = Provenance{Rule: d.why, Premises: d.premises}
-			work = append(work, d.f)
-		}
-	}
+	var seed []fact.Fact
 	for _, c := range chs {
-		if derived.Insert(c.Fact) {
-			work = append(work, c.Fact)
-		} else {
-			// The fact was already derived; it is now also stored, so
-			// its provenance becomes "stored" (base.Has wins in
-			// Explain), but its consequences are already present.
+		if !old.closure.Has(c.Fact) {
+			seed = append(seed, c.Fact)
 		}
 	}
-	var buf []derivation
-	for i := 0; i < len(work); i++ {
-		buf = e.deriveFrom(cfg, work[i], derived, false, buf[:0])
-		for _, d := range buf {
-			push(d)
-		}
-	}
-	return derived, prov
+	derived := old.closure.Extend(slices.Clone(seed))
+	return e.closeRounds(cfg, derived, seed, prov, false), prov
 }
 
 // Invalidate drops the cached closure and bumps the subgoal cache
@@ -625,9 +610,9 @@ func (e *Engine) EstimateCount(src, rel, tgt sym.ID) int {
 }
 
 // buildWorkers returns the number of goroutines a closure build may
-// use for a round of n frontier facts. Called with e.mu held.
+// use for a round of n frontier facts.
 func (e *Engine) buildWorkers(n int) int {
-	w := e.workers
+	w := int(e.workers.Load())
 	if w == 0 {
 		w = runtime.GOMAXPROCS(0)
 	}

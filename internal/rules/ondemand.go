@@ -277,7 +277,7 @@ func (b *bounded) enum(s, r, t sym.ID, d int) []fact.Fact {
 
 	delete(b.open, key)
 	buf := col.buf
-	slices.SortFunc(buf, cmpFact)
+	slices.SortFunc(buf, fact.Compare)
 	buf = dedupSortedFacts(buf)
 
 	// Computed under an in-progress ancestor: the result depends on

@@ -17,30 +17,6 @@ import (
 // buffers, per-call result arenas, binding batches, and the bounded
 // contexts themselves.
 
-// cmpFact orders facts by (S, R, T) — the canonical order used for
-// deterministic iteration and sorted-run dedup.
-func cmpFact(a, b fact.Fact) int {
-	if a.S != b.S {
-		if a.S < b.S {
-			return -1
-		}
-		return 1
-	}
-	if a.R != b.R {
-		if a.R < b.R {
-			return -1
-		}
-		return 1
-	}
-	if a.T != b.T {
-		if a.T < b.T {
-			return -1
-		}
-		return 1
-	}
-	return 0
-}
-
 func cmpID(a, b sym.ID) int {
 	switch {
 	case a < b:
@@ -52,7 +28,7 @@ func cmpID(a, b sym.ID) int {
 }
 
 // dedupSortedFacts removes adjacent duplicates in place; fs must be
-// sorted (cmpFact order).
+// sorted (fact.Compare order).
 func dedupSortedFacts(fs []fact.Fact) []fact.Fact {
 	if len(fs) < 2 {
 		return fs

@@ -103,8 +103,8 @@ func readFact(r *bufio.Reader, u *fact.Universe) (fact.Fact, error) {
 }
 
 // SaveSnapshot writes all stored facts to w. A sealed store snapshots
-// from its compressed fact array (the hash fact set no longer exists
-// after Seal); the on-disk format is identical either way.
+// from its compressed fact arrays (it has no hash fact set); the
+// on-disk format is identical either way.
 func (s *Store) SaveSnapshot(w io.Writer) error {
 	if !s.sealed {
 		s.mu.RLock()
@@ -116,13 +116,15 @@ func (s *Store) SaveSnapshot(w io.Writer) error {
 	}
 	var buf [binary.MaxVarintLen64]byte
 	if s.sealed {
-		n := binary.PutUvarint(buf[:], uint64(len(s.idx.facts)))
+		n := binary.PutUvarint(buf[:], uint64(s.segs.len()))
 		if _, err := bw.Write(buf[:n]); err != nil {
 			return err
 		}
-		for _, f := range s.idx.facts {
-			if err := writeFact(bw, s.u, f); err != nil {
-				return err
+		for _, p := range s.segs {
+			for _, f := range p.facts {
+				if err := writeFact(bw, s.u, f); err != nil {
+					return err
+				}
 			}
 		}
 		return bw.Flush()
@@ -210,13 +212,10 @@ func ReadSnapshotFacts(r io.Reader, u *fact.Universe) ([]fact.Fact, error) {
 // bootstrap: snapshot state + "stream me everything after lsn". On a
 // store with no log attached the LSN is 0.
 func (s *Store) SnapshotFacts() ([]fact.Fact, uint64, error) {
-	s.mu.RLock()
 	if s.sealed {
-		facts := make([]fact.Fact, len(s.idx.facts))
-		copy(facts, s.idx.facts)
-		s.mu.RUnlock()
-		return facts, 0, nil
+		return s.segs.facts(), 0, nil
 	}
+	s.mu.RLock()
 	facts := make([]fact.Fact, 0, len(s.facts))
 	for f := range s.facts {
 		facts = append(facts, f)

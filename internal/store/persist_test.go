@@ -17,26 +17,36 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		{"JOHN", "EARNS", "$25000"},
 		{"EMPLOYEE", "≺", "PERSON"},
 		{"PC#9-WAM", "COMPOSED-BY", "MOZART"},
+		{"MOZART", "BORN-IN", "SALZBURG"},
+		{"JOHN", "WORKS-FOR", "ACME"},
 	}
 	for _, f := range facts {
 		s.Insert(u.NewFact(f[0], f[1], f[2]))
 	}
-	var buf bytes.Buffer
-	if err := s.SaveSnapshot(&buf); err != nil {
-		t.Fatal(err)
+	// A sealed two-segment stack snapshots the same fact set.
+	fs := s.Facts()
+	stack := SealedFromFacts(u, fs[:4:4]).Extend(fs[4:])
+	if stack.Segments() != 2 {
+		t.Fatalf("stack has %d segments, want 2", stack.Segments())
 	}
+	for _, src := range []*Store{s, stack} {
+		var buf bytes.Buffer
+		if err := src.SaveSnapshot(&buf); err != nil {
+			t.Fatal(err)
+		}
 
-	u2 := fact.NewUniverse()
-	s2 := New(u2)
-	if err := s2.LoadSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if s2.Len() != s.Len() {
-		t.Fatalf("loaded %d facts, want %d", s2.Len(), s.Len())
-	}
-	for _, f := range facts {
-		if !s2.Has(u2.NewFact(f[0], f[1], f[2])) {
-			t.Errorf("missing fact %v after round trip", f)
+		u2 := fact.NewUniverse()
+		s2 := New(u2)
+		if err := s2.LoadSnapshot(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if s2.Len() != src.Len() {
+			t.Fatalf("loaded %d facts, want %d", s2.Len(), src.Len())
+		}
+		for _, f := range facts {
+			if !s2.Has(u2.NewFact(f[0], f[1], f[2])) {
+				t.Errorf("sealed=%v: missing fact %v after round trip", src.Sealed(), f)
+			}
 		}
 	}
 }

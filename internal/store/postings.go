@@ -1,10 +1,10 @@
 // Compressed posting-list index for sealed stores.
 //
-// A sealed store never changes again, so at seal time the six hash
-// indexes (map[K][]fact.Fact, each bucket a distinct slice of 12-byte
-// facts) are replaced by one sorted fact array plus per-bucket runs of
-// fact IDs. Facts are sorted by (S, R, T) and identified by their
-// position, which buys two compressions for free:
+// A sealed store never changes again, so instead of the six hash
+// indexes of a mutable store (map[K][]fact.Fact, each bucket a
+// distinct slice of 12-byte facts) it holds one sorted fact array plus
+// per-bucket runs of fact IDs. Facts are sorted by (S, R, T) and
+// identified by their position, which buys two compressions for free:
 //
 //   - The S and SR buckets are *contiguous ranges* of the sorted array,
 //     stored as [lo, hi) spans — zero bytes of postings, and MatchAll
@@ -14,14 +14,17 @@
 //     fit in 1–2 bytes versus the 12-byte facts the hash buckets
 //     duplicated per index.
 //
-// After the build the hash maps and the fact set map are dropped, so a
-// sealed store holds each fact once plus a few bytes of postings per
-// index entry, and the large allocations that remain (fact array, enc
+// The build is linear in the fact count plus the ID range: sym.IDs are
+// dense, so counting sorts order the facts and regroup their IDs per
+// index. A sealed store holds each fact once plus a few bytes of
+// postings per index entry, and its large allocations (fact array, enc
 // arena) are pointer-free — the GC never scans them.
 package store
 
 import (
+	"cmp"
 	"encoding/binary"
+	"slices"
 	"sort"
 
 	"repro/internal/fact"
@@ -52,19 +55,6 @@ type postings struct {
 	enc []byte // delta+varint encoded fact-ID runs
 }
 
-func sortFactsSRT(fs []fact.Fact) {
-	sort.Slice(fs, func(i, j int) bool {
-		a, b := fs[i], fs[j]
-		if a.S != b.S {
-			return a.S < b.S
-		}
-		if a.R != b.R {
-			return a.R < b.R
-		}
-		return a.T < b.T
-	})
-}
-
 func dedupFacts(fs []fact.Fact) []fact.Fact {
 	if len(fs) < 2 {
 		return fs
@@ -80,18 +70,143 @@ func dedupFacts(fs []fact.Fact) []fact.Fact {
 }
 
 // buildPostings takes ownership of fs, sorts and dedups it, and builds
-// the compressed index. The transient per-key ID lists are built and
-// released one index at a time so peak memory stays bounded.
+// the compressed index in time linear in len(fs) plus the ID range.
 func buildPostings(fs []fact.Fact) *postings {
-	sortFactsSRT(fs)
-	fs = dedupFacts(fs)
-	p := &postings{
-		facts: fs,
-		byS:   make(map[sym.ID]span),
-		bySR:  make(map[pair]span),
+	return indexSorted(sortFacts(fs))
+}
+
+// denseIDs reports whether IDs below k are dense enough among n
+// elements for counting sorts to pay for their O(k) histogram. Sparse
+// ID ranges (a small segment over a large universe) take comparison
+// sorts instead, which produce the same order.
+func denseIDs(n, k int) bool { return k <= 4*n+64 }
+
+// countingSort writes src into dst stably reordered by key, one
+// histogram pass over [0, len(cnt)-1). cnt is scratch.
+func countingSort[T any](dst, src []T, cnt []uint32, key func(T) sym.ID) {
+	clear(cnt)
+	for _, x := range src {
+		cnt[key(x)+1]++
 	}
-	// Contiguous spans: facts sorted by (S, R, T) means every S run
-	// and every (S, R) run is a single range of the array.
+	for i := 1; i < len(cnt); i++ {
+		cnt[i] += cnt[i-1]
+	}
+	for _, x := range src {
+		k := key(x)
+		dst[cnt[k]] = x
+		cnt[k]++
+	}
+}
+
+func maxID(fs []fact.Fact) sym.ID {
+	var m sym.ID
+	for _, f := range fs {
+		m = max(m, f.S, f.R, f.T)
+	}
+	return m
+}
+
+func strictlySorted(fs []fact.Fact) bool {
+	for i := 1; i < len(fs); i++ {
+		if fact.Compare(fs[i-1], fs[i]) >= 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// sortFacts returns fs sorted by fact.Compare without duplicates,
+// reusing fs's memory or replacing it. Dense IDs take three stable
+// counting passes (T, then R, then S); input already in strict order
+// is returned as is.
+func sortFacts(fs []fact.Fact) []fact.Fact {
+	if strictlySorted(fs) {
+		return fs
+	}
+	k := int(maxID(fs)) + 1
+	if !denseIDs(len(fs), k) {
+		slices.SortFunc(fs, fact.Compare)
+		return dedupFacts(fs)
+	}
+	tmp := make([]fact.Fact, len(fs))
+	cnt := make([]uint32, k+1)
+	countingSort(tmp, fs, cnt, func(f fact.Fact) sym.ID { return f.T })
+	countingSort(fs, tmp, cnt, func(f fact.Fact) sym.ID { return f.R })
+	countingSort(tmp, fs, cnt, func(f fact.Fact) sym.ID { return f.S })
+	return dedupFacts(tmp)
+}
+
+// indexSorted builds the compressed index over fs, which must be
+// strictly ascending in fact.Compare order; the index owns fs. Every
+// bucket comes from walking one order of fact IDs grouped by its key:
+// the sorted array itself for the S and SR spans, and stable
+// regroupings of the IDs for the R, T, RT and ST runs, so every run is
+// ascending by construction. Runs are encoded in key order (all R
+// runs, then T, RT, ST), which fixes the arena layout.
+func indexSorted(fs []fact.Fact) *postings {
+	p := &postings{facts: fs}
+	p.byS, p.bySR = spans(fs)
+
+	// Key extractors by fact ID, for the regrouping sorts.
+	byS := func(id uint32) sym.ID { return fs[id].S }
+	byR := func(id uint32) sym.ID { return fs[id].R }
+	byT := func(id uint32) sym.ID { return fs[id].T }
+	rOf := func(f fact.Fact) sym.ID { return f.R }
+	tOf := func(f fact.Fact) sym.ID { return f.T }
+	rtOf := func(f fact.Fact) pair { return pair{f.R, f.T} }
+	stOf := func(f fact.Fact) pair { return pair{f.S, f.T} }
+
+	ids, order := make([]uint32, len(fs)), make([]uint32, len(fs))
+	for i := range ids {
+		ids[i] = uint32(i)
+	}
+	if k := int(maxID(fs)) + 1; denseIDs(len(fs), k) {
+		cnt := make([]uint32, k+1)
+		countingSort(order, ids, cnt, byR) // (R, id)
+		p.byR = encodeGroups(p, order, rOf)
+		countingSort(order, ids, cnt, byT) // (T, id)
+		p.byT = encodeGroups(p, order, tOf)
+		countingSort(ids, order, cnt, byR) // (R, T, id)
+		p.byRT = encodeGroups(p, ids, rtOf)
+		countingSort(ids, order, cnt, byS) // (S, T, id)
+		p.byST = encodeGroups(p, ids, stOf)
+	} else {
+		sortIDs := func(keys ...func(uint32) sym.ID) []uint32 {
+			copy(order, ids)
+			slices.SortFunc(order, func(a, b uint32) int {
+				for _, key := range keys {
+					if c := cmp.Compare(key(a), key(b)); c != 0 {
+						return c
+					}
+				}
+				return cmp.Compare(a, b)
+			})
+			return order
+		}
+		p.byR = encodeGroups(p, sortIDs(byR), rOf)
+		p.byT = encodeGroups(p, sortIDs(byT), tOf)
+		p.byRT = encodeGroups(p, sortIDs(byR, byT), rtOf)
+		p.byST = encodeGroups(p, sortIDs(byS, byT), stOf)
+	}
+	if cap(p.enc)-len(p.enc) > len(p.enc)/8 {
+		p.enc = slices.Clone(p.enc) // drop append slack from a long-lived arena
+	}
+	return p
+}
+
+// spans returns the S and SR buckets of a sorted fact array: sorted
+// by (S, R, T), every S run and every (S, R) run is one range.
+func spans(fs []fact.Fact) (map[sym.ID]span, map[pair]span) {
+	nS, nSR := 0, 0
+	for i := range fs {
+		if i == 0 || fs[i].S != fs[i-1].S {
+			nS++
+			nSR++
+		} else if fs[i].R != fs[i-1].R {
+			nSR++
+		}
+	}
+	byS, bySR := make(map[sym.ID]span, nS), make(map[pair]span, nSR)
 	for i := 0; i < len(fs); {
 		s := fs[i].S
 		j := i
@@ -101,46 +216,34 @@ func buildPostings(fs []fact.Fact) *postings {
 			for k < len(fs) && fs[k].S == s && fs[k].R == r {
 				k++
 			}
-			p.bySR[pair{s, r}] = span{uint32(j), uint32(k)}
+			bySR[pair{s, r}] = span{uint32(j), uint32(k)}
 			j = k
 		}
-		p.byS[s] = span{uint32(i), uint32(j)}
+		byS[s] = span{uint32(i), uint32(j)}
 		i = j
 	}
-	p.byR = encodeRuns(p, fs, func(f fact.Fact) sym.ID { return f.R },
-		func(a, b sym.ID) bool { return a < b })
-	p.byT = encodeRuns(p, fs, func(f fact.Fact) sym.ID { return f.T },
-		func(a, b sym.ID) bool { return a < b })
-	p.byRT = encodeRuns(p, fs, func(f fact.Fact) pair { return pair{f.R, f.T} }, pairLess)
-	p.byST = encodeRuns(p, fs, func(f fact.Fact) pair { return pair{f.S, f.T} }, pairLess)
-	return p
+	return byS, bySR
 }
 
-func pairLess(a, b pair) bool {
-	if a.a != b.a {
-		return a.a < b.a
+// encodeGroups varint-encodes one run per key into p.enc and returns
+// the runs by key. order lists fact IDs grouped by key, keys ascending
+// and IDs ascending within each group.
+func encodeGroups[K comparable](p *postings, order []uint32, keyOf func(fact.Fact) K) map[K]plist {
+	groups := 0
+	for i := range order {
+		if i == 0 || keyOf(p.facts[order[i]]) != keyOf(p.facts[order[i-1]]) {
+			groups++
+		}
 	}
-	return a.b < b.b
-}
-
-// encodeRuns groups fact IDs by key and varint-encodes each group into
-// p.enc. Iterating fs in ID order appends ascending IDs per key, so
-// the runs are strictly ascending by construction. Keys are encoded in
-// sorted order to keep the arena layout deterministic.
-func encodeRuns[K comparable](p *postings, fs []fact.Fact, keyOf func(fact.Fact) K, less func(K, K) bool) map[K]plist {
-	ids := make(map[K][]uint32)
-	for i, f := range fs {
-		k := keyOf(f)
-		ids[k] = append(ids[k], uint32(i))
-	}
-	keys := make([]K, 0, len(ids))
-	for k := range ids {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return less(keys[i], keys[j]) })
-	out := make(map[K]plist, len(ids))
-	for _, k := range keys {
-		out[k] = p.appendRun(ids[k])
+	out := make(map[K]plist, groups)
+	for i := 0; i < len(order); {
+		k := keyOf(p.facts[order[i]])
+		j := i + 1
+		for j < len(order) && keyOf(p.facts[order[j]]) == k {
+			j++
+		}
+		out[k] = p.appendRun(order[i:j])
+		i = j
 	}
 	return out
 }
@@ -360,13 +463,7 @@ func (p *postings) relationships() []RelStat {
 	for r, pl := range p.byR {
 		out = append(out, RelStat{Rel: r, Count: int(pl.n)})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Count != out[j].Count {
-			return out[i].Count > out[j].Count
-		}
-		return out[i].Rel < out[j].Rel
-	})
-	return out
+	return sortRelStats(out)
 }
 
 func (p *postings) degree(id sym.ID) int {
@@ -395,31 +492,26 @@ func (st IndexStats) IndexBytes() int {
 	return st.Facts*12 + st.PostingBytes + st.Buckets()*12
 }
 
-// IndexStats returns the sealed store's compressed-index geometry, or
-// the zero value when the store is still mutable.
+// IndexStats returns the sealed store's compressed-index geometry,
+// summed over its segments, or the zero value when the store is still
+// mutable. Keys present in several segments count once per segment.
 func (s *Store) IndexStats() IndexStats {
-	if !s.sealed || s.idx == nil {
-		return IndexStats{}
+	var st IndexStats
+	for _, p := range s.segs {
+		st.Facts += len(p.facts)
+		st.SpanBuckets += len(p.byS) + len(p.bySR)
+		st.PostingBuckets += len(p.byR) + len(p.byT) + len(p.byRT) + len(p.byST)
+		st.PostingBytes += len(p.enc)
 	}
-	p := s.idx
-	return IndexStats{
-		Facts:          len(p.facts),
-		SpanBuckets:    len(p.byS) + len(p.bySR),
-		PostingBuckets: len(p.byR) + len(p.byT) + len(p.byRT) + len(p.byST),
-		PostingBytes:   len(p.enc),
-	}
+	return st
 }
 
-// SealedFromFacts builds a sealed store directly in compressed form,
-// skipping the mutable hash indexes entirely — the bulk-load path for
-// memory-scale worlds, where building six hash maps only to drop them
-// at seal time would double peak memory. It takes ownership of fs
-// (which it sorts and dedups in place). The store's version is the
-// distinct fact count, as if each fact had been inserted once.
+// SealedFromFacts builds a sealed single-segment store directly in
+// compressed form, skipping the mutable hash indexes entirely — the
+// bulk-load path for memory-scale worlds and the seed of every closure
+// build. It takes ownership of fs (which it sorts and dedups). The
+// store's version is the distinct fact count, as if each fact had been
+// inserted once.
 func SealedFromFacts(u *fact.Universe, fs []fact.Fact) *Store {
-	s := &Store{u: u, sealed: true}
-	s.idx = buildPostings(fs)
-	s.version.Store(uint64(len(s.idx.facts)))
-	s.recentBase = s.version.Load()
-	return s
+	return sealedStore(u, segments{buildPostings(fs)})
 }

@@ -1,8 +1,11 @@
 package store
 
 import (
+	"bytes"
 	"fmt"
+	"maps"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -62,8 +65,7 @@ func TestSealedPostingsEquivalence(t *testing.T) {
 	u := fact.NewUniverse()
 	rng := rand.New(rand.NewSource(42))
 	mut := randomWorld(u, rng, 600)
-	sealed := mut.Clone()
-	sealed.Seal()
+	sealed := SealedFromFacts(u, mut.Facts())
 
 	if mut.Len() != sealed.Len() {
 		t.Fatalf("Len: mutable %d, sealed %d", mut.Len(), sealed.Len())
@@ -131,7 +133,7 @@ func TestMatchAllSealedPostingBucket(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		s.Insert(u.NewFact(fmt.Sprintf("s%d", i), "R", "HUB"))
 	}
-	s.Seal()
+	s = SealedFromFacts(u, s.Facts())
 	shapes := []struct {
 		name    string
 		s, r, t sym.ID
@@ -167,16 +169,33 @@ func TestMatchAllSealedPostingBucket(t *testing.T) {
 	}
 }
 
-// TestSealedConcurrentReaders hammers one sealed index from many
-// goroutines mixing every read entry point; run under -race this
-// proves the frozen postings are safely shareable without locks.
+// TestSealedConcurrentReaders hammers one sealed index — a single
+// segment, then a segment stack — from many goroutines mixing every
+// read entry point; run under -race this proves the frozen postings
+// are safely shareable without locks.
 func TestSealedConcurrentReaders(t *testing.T) {
 	u := fact.NewUniverse()
 	rng := rand.New(rand.NewSource(7))
-	s := randomWorld(u, rng, 2000)
-	want := s.Len()
-	s.Seal()
+	fs := randomWorld(u, rng, 2000).Facts()
+	// Each batch is 4/5 of what remains: sizes shrink by more than
+	// tierRatio, so no merge fires and the stack keeps every batch.
+	lo := len(fs) * 4 / 5
+	stack := SealedFromFacts(u, slices.Clone(fs[:lo]))
+	for lo < len(fs) {
+		hi := lo + max((len(fs)-lo)*4/5, 1)
+		stack = stack.Extend(slices.Clone(fs[lo:hi]))
+		lo = hi
+	}
+	if stack.Segments() < 4 {
+		t.Fatalf("stack has %d segments", stack.Segments())
+	}
+	for _, s := range []*Store{SealedFromFacts(u, fs), stack} {
+		concurrentReads(t, u, s)
+	}
+}
 
+func concurrentReads(t *testing.T, u *fact.Universe, s *Store) {
+	want := s.Len()
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -213,18 +232,20 @@ func TestSealedConcurrentReaders(t *testing.T) {
 }
 
 // TestSealedFromFacts checks the bulk-load constructor against the
-// insert-then-Seal path, including duplicate collapsing.
+// mutable store it was loaded from and against the same facts grown
+// as a segment stack and compacted, including duplicate collapsing.
 func TestSealedFromFacts(t *testing.T) {
 	u := fact.NewUniverse()
 	rng := rand.New(rand.NewSource(11))
 	mut := randomWorld(u, rng, 300)
 	fs := mut.Facts()
+	half := len(fs) / 2
+	stacked := SealedFromFacts(u, slices.Clone(fs[:half])).Extend(slices.Clone(fs[half:])).Compact()
 	fs = append(fs, fs[0], fs[10], fs[20]) // duplicates must collapse
 	bulk := SealedFromFacts(u, fs)
-	mut.Seal()
 
 	if bulk.Len() != mut.Len() {
-		t.Fatalf("Len: bulk %d, sealed %d", bulk.Len(), mut.Len())
+		t.Fatalf("Len: bulk %d, mutable %d", bulk.Len(), mut.Len())
 	}
 	if !bulk.Sealed() {
 		t.Fatal("SealedFromFacts store not sealed")
@@ -232,7 +253,7 @@ func TestSealedFromFacts(t *testing.T) {
 	if !sameFactSet(bulk.Facts(), mut.Facts()) {
 		t.Fatal("fact sets differ")
 	}
-	is, ms := bulk.IndexStats(), mut.IndexStats()
+	is, ms := bulk.IndexStats(), stacked.IndexStats()
 	if is != ms {
 		t.Fatalf("IndexStats differ: bulk %+v, sealed %+v", is, ms)
 	}
@@ -252,43 +273,51 @@ func TestSealedFromFacts(t *testing.T) {
 	}()
 }
 
-// TestSealIdempotent: sealing twice must not rebuild or corrupt.
-func TestSealIdempotent(t *testing.T) {
-	u, s := mk(t)
-	s.Insert(u.NewFact("A", "R", "B"))
-	s.Seal()
-	st := s.IndexStats()
-	s.Seal()
-	if s.IndexStats() != st {
-		t.Fatal("second Seal changed the index")
+// TestCompactIdempotent: compacting a single-segment store returns it
+// unchanged, and a compacted stack compacts to itself.
+func TestCompactIdempotent(t *testing.T) {
+	u := fact.NewUniverse()
+	var base []fact.Fact
+	for i := 0; i < 2*tierRatio; i++ {
+		base = append(base, u.NewFact(fmt.Sprintf("A%d", i), "R", "B"))
 	}
-	if s.Len() != 1 {
-		t.Fatalf("Len = %d", s.Len())
+	s := SealedFromFacts(u, base)
+	if s.Compact() != s {
+		t.Fatal("Compact of a single-segment store rebuilt it")
+	}
+	st := s.Extend([]fact.Fact{u.NewFact("C", "R", "B")})
+	if st.Segments() != 2 {
+		t.Fatalf("Extend by a small batch gave %d segments, want 2", st.Segments())
+	}
+	c := st.Compact()
+	if c.Segments() != 1 || c.Compact() != c || c.Len() != len(base)+1 {
+		t.Fatalf("compacted stack: %d segments, Len %d", c.Segments(), c.Len())
+	}
+	if s.Len() != len(base) || s.Segments() != 1 || st.Segments() != 2 {
+		t.Fatal("Extend or Compact changed its receiver")
 	}
 }
 
-// TestSealedCloneRoundTrip: sealing, cloning back to mutable, mutating
-// the clone, and re-sealing must behave like a fresh store.
-func TestSealedCloneRoundTrip(t *testing.T) {
+// TestSealedMutableRoundTrip: a sealed store's facts copied into a
+// mutable store, mutated there, and sealed again must behave like a
+// fresh store, leaving the original sealed store untouched.
+func TestSealedMutableRoundTrip(t *testing.T) {
 	u := fact.NewUniverse()
 	rng := rand.New(rand.NewSource(3))
-	s := randomWorld(u, rng, 200)
-	want := s.Facts()
-	s.Seal()
-	c := s.Clone()
-	if c.Sealed() {
-		t.Fatal("clone of sealed store is sealed")
-	}
+	want := randomWorld(u, rng, 200).Facts()
+	s := SealedFromFacts(u, slices.Clone(want))
+	c := New(u)
+	c.InsertAll(s.Facts())
 	if !sameFactSet(c.Facts(), want) {
-		t.Fatal("clone lost facts")
+		t.Fatal("mutable copy lost facts")
 	}
 	extra := u.NewFact("NEW", "REL", "TGT")
 	if !c.Insert(extra) {
-		t.Fatal("clone refused insert")
+		t.Fatal("mutable copy refused insert")
 	}
-	c.Seal()
-	if !c.Has(extra) || c.Len() != len(want)+1 {
-		t.Fatal("re-sealed clone wrong")
+	r := SealedFromFacts(u, c.Facts())
+	if !r.Has(extra) || r.Len() != len(want)+1 {
+		t.Fatal("re-sealed copy wrong")
 	}
 	if s.Has(extra) {
 		t.Fatal("original sealed store changed")
@@ -336,5 +365,146 @@ func TestUvarintRunCodec(t *testing.T) {
 	enc := AppendUvarintRun(nil, dense)
 	if len(enc) > len(dense)+4 {
 		t.Fatalf("dense run encoded to %d bytes, want ≤ %d", len(enc), len(dense)+4)
+	}
+}
+
+// referencePostings is the comparison-sort posting builder the linear
+// one replaced: sort the facts, then per index collect every key's ID
+// list in a map of slices and encode the keys in sorted order. It is
+// kept as the oracle that buildPostings must reproduce byte for byte.
+func referencePostings(fs []fact.Fact) *postings {
+	sort.Slice(fs, func(i, j int) bool { return fact.Compare(fs[i], fs[j]) < 0 })
+	fs = dedupFacts(fs)
+	p := &postings{facts: fs, byS: make(map[sym.ID]span), bySR: make(map[pair]span)}
+	for i := 0; i < len(fs); {
+		s := fs[i].S
+		j := i
+		for j < len(fs) && fs[j].S == s {
+			r := fs[j].R
+			k := j
+			for k < len(fs) && fs[k].S == s && fs[k].R == r {
+				k++
+			}
+			p.bySR[pair{s, r}] = span{uint32(j), uint32(k)}
+			j = k
+		}
+		p.byS[s] = span{uint32(i), uint32(j)}
+		i = j
+	}
+	idLess := func(a, b sym.ID) bool { return a < b }
+	pairLess := func(a, b pair) bool { return a.a < b.a || (a.a == b.a && a.b < b.b) }
+	p.byR = referenceRuns(p, func(f fact.Fact) sym.ID { return f.R }, idLess)
+	p.byT = referenceRuns(p, func(f fact.Fact) sym.ID { return f.T }, idLess)
+	p.byRT = referenceRuns(p, func(f fact.Fact) pair { return pair{f.R, f.T} }, pairLess)
+	p.byST = referenceRuns(p, func(f fact.Fact) pair { return pair{f.S, f.T} }, pairLess)
+	return p
+}
+
+func referenceRuns[K comparable](p *postings, keyOf func(fact.Fact) K, less func(K, K) bool) map[K]plist {
+	ids := make(map[K][]uint32)
+	for i, f := range p.facts {
+		ids[keyOf(f)] = append(ids[keyOf(f)], uint32(i))
+	}
+	keys := make([]K, 0, len(ids))
+	for k := range ids {
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(i, j int) bool { return less(keys[i], keys[j]) })
+	out := make(map[K]plist, len(ids))
+	for _, k := range keys {
+		out[k] = p.appendRun(ids[k])
+	}
+	return out
+}
+
+// samePostings reports the first difference between two indexes:
+// fact arrays, span maps, posting maps and arena bytes.
+func samePostings(got, want *postings) string {
+	switch {
+	case !slices.Equal(got.facts, want.facts):
+		return "facts"
+	case !maps.Equal(got.byS, want.byS):
+		return "byS"
+	case !maps.Equal(got.bySR, want.bySR):
+		return "bySR"
+	case !maps.Equal(got.byR, want.byR):
+		return "byR"
+	case !maps.Equal(got.byT, want.byT):
+		return "byT"
+	case !maps.Equal(got.byRT, want.byRT):
+		return "byRT"
+	case !maps.Equal(got.byST, want.byST):
+		return "byST"
+	case !bytes.Equal(got.enc, want.enc):
+		return "enc"
+	}
+	return ""
+}
+
+// fuzzFacts decodes a fuzz input into facts: the first byte picks the
+// ID width (dense one-byte IDs, or sparse IDs spread over the uint32
+// range), the rest is read as (S, R, T) triples. Inputs are capped at
+// 64 facts, which keeps the fuzzer's minimization of new inputs short;
+// TestBuildPostingsMatchesReference covers large worlds.
+func fuzzFacts(data []byte) []fact.Fact {
+	if len(data) == 0 {
+		return nil
+	}
+	sparse := data[0]&1 == 1
+	data = data[1:min(len(data), 1+3*64)]
+	id := func(b byte) sym.ID {
+		if sparse {
+			return sym.ID(b)<<24 | sym.ID(b) + 1
+		}
+		return sym.ID(b%32) + 1
+	}
+	var fs []fact.Fact
+	for ; len(data) >= 3; data = data[3:] {
+		fs = append(fs, fact.Fact{S: id(data[0]), R: id(data[1]), T: id(data[2])})
+	}
+	return fs
+}
+
+// FuzzBuildPostings checks that the linear posting builder reproduces
+// the reference comparison-sort builder exactly — on the dense
+// counting-sort path and the sparse-ID fallback alike.
+func FuzzBuildPostings(f *testing.F) {
+	f.Add([]byte{0, 1, 2, 3, 1, 2, 3, 1, 2, 3, 3, 2, 1})                   // duplicates
+	f.Add([]byte{1, 200, 7, 9, 3, 7, 250, 200, 7, 9, 255, 0, 1})           // sparse large IDs
+	f.Add([]byte{0, 5, 5, 5, 5, 5, 6, 5, 5, 7, 5, 5, 8})                   // single-key world
+	f.Add([]byte{0, 9, 1, 4, 8, 1, 4, 7, 2, 4, 6, 2, 4, 5, 3, 4, 4, 3, 4}) // reverse order
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		fs := fuzzFacts(data)
+		want := referencePostings(slices.Clone(fs))
+		got := buildPostings(fs)
+		if diff := samePostings(got, want); diff != "" {
+			t.Fatalf("linear build differs from the reference in %s", diff)
+		}
+	})
+}
+
+// TestBuildPostingsMatchesReference runs the byte-identity check on
+// random worlds large enough for the counting-sort path, and on the
+// same worlds re-keyed sparse to force the comparison fallback.
+func TestBuildPostingsMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 20; trial++ {
+		n := 1 + rng.Intn(3000)
+		dom := 1 + rng.Intn(200)
+		fs := make([]fact.Fact, n)
+		for i := range fs {
+			fs[i] = fact.Fact{S: sym.ID(rng.Intn(dom) + 1), R: sym.ID(rng.Intn(8) + 1), T: sym.ID(rng.Intn(dom) + 1)}
+		}
+		for _, stretch := range []sym.ID{1, 1 << 20} {
+			in := slices.Clone(fs)
+			for i := range in {
+				in[i] = fact.Fact{S: in[i].S * stretch, R: in[i].R * stretch, T: in[i].T * stretch}
+			}
+			want := referencePostings(slices.Clone(in))
+			if diff := samePostings(buildPostings(in), want); diff != "" {
+				t.Fatalf("trial %d stretch %d: differs in %s", trial, stretch, diff)
+			}
+		}
 	}
 }

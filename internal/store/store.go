@@ -3,24 +3,33 @@
 //
 // The paper (§2.6) defines a database as "a set of facts" with no
 // further physical organization, and defers storage strategy to the
-// implementation. This store keeps each fact exactly once and
-// maintains six hash indexes (S, R, T, SR, RT, ST) so that any
-// template — any combination of bound and free positions — is answered
-// from the most selective index available. Durability is provided by
-// an append-only operation log plus snapshots (see persist.go).
+// implementation. A store keeps each fact exactly once and answers
+// any template — any combination of bound and free positions — from
+// the most selective index available. Durability is provided by an
+// append-only operation log plus snapshots (see persist.go).
 //
-// A Store is safe for concurrent use: reads take a shared lock,
-// mutations an exclusive one. A store can additionally be Sealed,
-// which freezes its fact set permanently: sealed reads skip lock
-// acquisition entirely and mutations panic. Sealing also swaps the
-// hash indexes for a compressed posting-list index (postings.go) —
-// one sorted fact array plus span/varint-run buckets — so a sealed
-// store holds each fact once instead of seven times. The rules engine
-// seals every closure store before publishing it, so the warm browsing
-// path reads materialized facts with zero synchronization.
+// A store takes one of two forms:
+//
+//   - Mutable (New): a fact set plus six hash indexes (S, R, T, SR,
+//     RT, ST). Reads take a shared lock, mutations an exclusive one.
+//     The base store of explicit facts is mutable.
+//   - Sealed (SealedFromFacts, Extend, Compact): frozen for good. Its
+//     read path is a compressed posting-list index (postings.go) —
+//     one sorted fact array plus span/varint-run buckets, built in
+//     linear time — so it holds each fact once instead of seven
+//     times; reads skip locks entirely and mutations panic. A sealed
+//     store may be a stack of disjoint posting segments
+//     (segments.go): Extend adds a batch as a new segment sharing the
+//     ones below, and Compact merges a stack into one segment.
+//
+// The rules engine builds every closure in sealed form — one Extend
+// per derivation round — and publishes it compacted to a single
+// segment, so the warm browsing path reads materialized facts with
+// zero synchronization.
 package store
 
 import (
+	"cmp"
 	"maps"
 	"slices"
 	"sort"
@@ -40,15 +49,15 @@ type Store struct {
 	u  *fact.Universe
 
 	// sealed freezes the store: reads go lock-free, mutations panic.
-	// Seal must happen-before the store is shared with other
-	// goroutines (the engine publishes sealed closures through an
-	// atomic pointer, which provides that edge).
+	// A sealed store is built whole (SealedFromFacts, Extend, Compact)
+	// and must be published to other goroutines through a
+	// happens-before edge (the engine uses an atomic pointer).
 	sealed bool
 
-	// idx is the compressed posting-list index, built by Seal (or
-	// SealedFromFacts). While it is set, the hash maps below are nil:
-	// sealed reads are answered from idx alone.
-	idx *postings
+	// segs is a sealed store's compressed posting-list index: a stack
+	// of disjoint segments (segments.go), one for a published closure.
+	// A sealed store has no hash maps; its reads use segs alone.
+	segs segments
 
 	facts map[fact.Fact]struct{}
 	byS   map[sym.ID][]fact.Fact
@@ -113,39 +122,13 @@ func New(u *fact.Universe) *Store {
 // Universe returns the entity universe the store interns against.
 func (s *Store) Universe() *fact.Universe { return s.u }
 
-// Seal permanently freezes the store. After Seal, all read methods
-// skip lock acquisition and any mutation panics. Sealing rebuilds the
-// read path as a compressed posting-list index and drops the fact set
-// map and all six hash indexes — the frozen form holds each fact once
-// plus a few posting bytes per bucket. The mutation history is
-// dropped: a sealed store will never change again, so ChangesSince
-// answers only for the current version. Seal must be called before
-// the store is shared across goroutines.
-func (s *Store) Seal() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.sealed {
-		return
-	}
-	fs := make([]fact.Fact, 0, len(s.facts))
-	for f := range s.facts {
-		fs = append(fs, f)
-	}
-	s.idx = buildPostings(fs)
-	s.facts, s.byS, s.byR, s.byT = nil, nil, nil, nil
-	s.bySR, s.byRT, s.byST = nil, nil, nil
-	s.sealed = true
-	s.recent = nil
-	s.recentBase = s.version.Load()
-}
-
-// Sealed reports whether the store has been frozen by Seal.
+// Sealed reports whether the store is a frozen posting-list store.
 func (s *Store) Sealed() bool { return s.sealed }
 
 // Len returns the number of stored facts.
 func (s *Store) Len() int {
 	if s.sealed {
-		return len(s.idx.facts)
+		return s.segs.len()
 	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -159,7 +142,7 @@ func (s *Store) Version() uint64 { return s.version.Load() }
 // Has reports whether f is stored (explicitly; inference is layered above).
 func (s *Store) Has(f fact.Fact) bool {
 	if s.sealed {
-		return s.idx.has(f)
+		return s.segs.has(f)
 	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -281,8 +264,7 @@ func (s *Store) insertLocked(f fact.Fact) {
 }
 
 // addLocked fills the fact set and all six hash indexes without
-// touching the version or the mutation history. It is the shared body
-// of insertLocked and the bulk rebuild paths (Clone of a sealed store).
+// touching the version or the mutation history.
 func (s *Store) addLocked(f fact.Fact) {
 	s.facts[f] = struct{}{}
 	s.byS[f.S] = append(s.byS[f.S], f)
@@ -377,7 +359,7 @@ func removePair(m map[pair][]fact.Fact, k pair, f fact.Fact) {
 // not mutate the store.
 func (s *Store) Match(src, rel, tgt sym.ID, fn func(fact.Fact) bool) bool {
 	if s.sealed {
-		return s.idx.match(src, rel, tgt, fn)
+		return s.segs.match(src, rel, tgt, fn)
 	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -468,7 +450,7 @@ func (s *Store) EstimateCounts(patterns []Pattern, out []int) {
 // answers without locking).
 func (s *Store) estimateLocked(src, rel, tgt sym.ID) int {
 	if s.sealed {
-		return s.idx.estimate(src, rel, tgt)
+		return s.segs.estimate(src, rel, tgt)
 	}
 	switch {
 	case src != sym.None && rel != sym.None && tgt != sym.None:
@@ -501,7 +483,7 @@ func (s *Store) estimateLocked(src, rel, tgt sym.ID) int {
 // index. Treat sealed results as read-only.
 func (s *Store) MatchAll(src, rel, tgt sym.ID) []fact.Fact {
 	if s.sealed {
-		return s.idx.matchAll(src, rel, tgt)
+		return s.segs.matchAll(src, rel, tgt)
 	}
 	var out []fact.Fact
 	s.Match(src, rel, tgt, func(f fact.Fact) bool {
@@ -511,12 +493,11 @@ func (s *Store) MatchAll(src, rel, tgt sym.ID) []fact.Fact {
 	return out
 }
 
-// Facts returns a copy of all stored facts in unspecified order.
+// Facts returns a copy of all stored facts: in (S, R, T) order on a
+// sealed store, in unspecified order on a mutable one.
 func (s *Store) Facts() []fact.Fact {
 	if s.sealed {
-		out := make([]fact.Fact, len(s.idx.facts))
-		copy(out, s.idx.facts)
-		return out
+		return s.segs.facts()
 	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -532,13 +513,7 @@ func (s *Store) Facts() []fact.Fact {
 // ∀-quantifier evaluation (§2.7) and retraction (§5).
 func (s *Store) Entities() []sym.ID {
 	if s.sealed {
-		seen := make(map[sym.ID]struct{}, len(s.idx.byS)+len(s.idx.byT))
-		for _, f := range s.idx.facts {
-			seen[f.S] = struct{}{}
-			seen[f.R] = struct{}{}
-			seen[f.T] = struct{}{}
-		}
-		return sortedIDs(seen)
+		return s.segs.entities()
 	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -563,7 +538,7 @@ func sortedIDs(seen map[sym.ID]struct{}) []sym.ID {
 // HasEntity reports whether id occurs in any stored fact.
 func (s *Store) HasEntity(id sym.ID) bool {
 	if s.sealed {
-		return s.idx.hasEntity(id)
+		return s.segs.hasEntity(id)
 	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -581,7 +556,7 @@ func (s *Store) HasEntity(id sym.ID) bool {
 // with the number of facts carrying each, sorted by descending count.
 func (s *Store) Relationships() []RelStat {
 	if s.sealed {
-		return s.idx.relationships()
+		return s.segs.relationships()
 	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -589,11 +564,17 @@ func (s *Store) Relationships() []RelStat {
 	for r, bucket := range s.byR {
 		out = append(out, RelStat{Rel: r, Count: len(bucket)})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Count != out[j].Count {
-			return out[i].Count > out[j].Count
+	return sortRelStats(out)
+}
+
+// sortRelStats orders relationship stats by descending count, then
+// ascending relationship ID.
+func sortRelStats(out []RelStat) []RelStat {
+	slices.SortFunc(out, func(a, b RelStat) int {
+		if a.Count != b.Count {
+			return cmp.Compare(b.Count, a.Count)
 		}
-		return out[i].Rel < out[j].Rel
+		return cmp.Compare(a.Rel, b.Rel)
 	})
 	return out
 }
@@ -608,32 +589,25 @@ type RelStat struct {
 // target (its neighborhood size; used by navigation benchmarks).
 func (s *Store) Degree(id sym.ID) int {
 	if s.sealed {
-		return s.idx.degree(id)
+		return s.segs.degree(id)
 	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return len(s.byS[id]) + len(s.byT[id])
 }
 
-// Clone returns a deep copy of the store sharing the same Universe.
-// The clone is unsealed and mutable even when the receiver is sealed,
-// carries no durability log, and starts with an *empty* mutation
-// history: its version equals the fact count (as if each fact had been
-// inserted fresh) and ChangesSince answers only from that point
-// forward. Cloning a mutable store duplicates the fact set and all six
-// index maps directly (bucket slices are cloned so later appends
-// cannot alias); cloning a sealed store rebuilds the hash indexes from
-// the compressed fact array, since the frozen form has no mutable
-// buckets to copy.
+// Clone returns a deep copy of a mutable store sharing the same
+// Universe. The clone carries no durability log and starts with an
+// *empty* mutation history: its version equals the fact count (as if
+// each fact had been inserted fresh) and ChangesSince answers only
+// from that point forward. The fact set and all six index maps are
+// duplicated directly (bucket slices are cloned so later appends
+// cannot alias). A sealed store is immutable and shared instead of
+// cloned; Clone panics on one (copy its Facts into New with InsertAll
+// for a mutable twin).
 func (s *Store) Clone() *Store {
 	if s.sealed {
-		c := New(s.u)
-		for _, f := range s.idx.facts {
-			c.addLocked(f)
-		}
-		c.version.Store(uint64(len(c.facts)))
-		c.recentBase = uint64(len(c.facts))
-		return c
+		panic("store: Clone of sealed store")
 	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()

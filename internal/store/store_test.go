@@ -368,7 +368,7 @@ func TestEstimateCountsMatchesSingles(t *testing.T) {
 		}
 	}
 	check() // unsealed: one lock acquisition for the batch
-	s.Seal()
+	s = SealedFromFacts(u, s.Facts())
 	check() // sealed: lock-free either way
 }
 
@@ -377,7 +377,7 @@ func TestMatchAllSealedSharesBucket(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		s.Insert(u.NewFact("HUB", "R", fmt.Sprintf("t%d", i)))
 	}
-	s.Seal()
+	s = SealedFromFacts(u, s.Facts())
 	got := s.MatchAll(u.Entity("HUB"), sym.None, sym.None)
 	if len(got) != 3 {
 		t.Fatalf("MatchAll returned %d facts, want 3", len(got))
@@ -523,9 +523,9 @@ func TestSealFreezesStore(t *testing.T) {
 	f := u.NewFact("A", "R", "B")
 	s.Insert(f)
 	v := s.Version()
-	s.Seal()
+	s = SealedFromFacts(u, s.Facts())
 	if !s.Sealed() {
-		t.Fatal("Sealed() false after Seal")
+		t.Fatal("Sealed() false on a sealed store")
 	}
 	if !s.Has(f) || s.Len() != 1 || s.Version() != v {
 		t.Error("sealing changed observable state")
@@ -549,12 +549,18 @@ func TestSealFreezesStore(t *testing.T) {
 			fn()
 		}()
 	}
-	// A sealed store still clones into a mutable copy.
-	c := s.Clone()
-	if c.Sealed() {
-		t.Error("clone of sealed store is sealed")
-	}
-	if !c.Insert(u.NewFact("X", "R", "Y")) {
-		t.Error("clone of sealed store not mutable")
+	// A sealed store is shared, not cloned; its facts seed a mutable twin.
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("Clone of sealed store did not panic")
+			}
+		}()
+		s.Clone()
+	}()
+	c := New(u)
+	c.InsertAll(s.Facts())
+	if !c.Has(f) || !c.Insert(u.NewFact("X", "R", "Y")) {
+		t.Error("mutable twin of sealed store wrong")
 	}
 }
