@@ -22,6 +22,7 @@ import (
 	"repro/internal/browse"
 	"repro/internal/dataset"
 	"repro/internal/fact"
+	"repro/internal/ops"
 	"repro/internal/probe"
 	"repro/internal/query"
 	"repro/internal/relstore"
@@ -277,32 +278,46 @@ var e5 = &Experiment{
 // e6Ranks are the E6 entities by Zipf rank: hub, mid and tail.
 var e6Ranks = []int{0, 2, 20, 200, 1500}
 
-// E6 measures navigation latency against entity degree on the Zipf
-// graph: the hub's neighborhood versus mid and tail entities, at two
+// E6 measures navigation and try(e) latency against entity degree on
+// the Zipf graph: the hub versus mid and tail entities, at two
 // database sizes — cost should track degree, not size.
 var e6 = &Experiment{
 	Name:   "E6",
-	Title:  "navigation latency vs degree (2000 entities, Zipf sources)",
+	Title:  "navigation and try latency vs degree (2000 entities, Zipf sources)",
 	Points: sweep("facts", 2000, 20000),
 	Quick:  1,
-	Ops: []string{"E6_Neighborhood/rank=0", "E6_Neighborhood/rank=2", "E6_Neighborhood/rank=20",
-		"E6_Neighborhood/rank=200", "E6_Neighborhood/rank=1500"},
+	Ops:    append(rankOps("E6_Neighborhood"), rankOps("E6_Try")...),
 	Setup: func(p Point) (*Fixture, error) {
 		db, names := dataset.Graph(dataset.GraphConfig{
 			Entities: 2000, Facts: p.Int("facts"), Relationships: 8, Seed: 17,
 		})
 		db.ClosureLen()
-		var ops []Op
+		var navigate, try []Op
 		for _, rank := range e6Ranks {
 			id := db.Entity(names[rank])
-			ops = append(ops, Op{
+			degree := values(map[string]float64{"degree": float64(db.Store().Degree(id))})
+			navigate = append(navigate, Op{
 				Reps:   50,
 				Run:    each(func() { db.Browser().Neighborhood(id) }),
-				Values: values(map[string]float64{"degree": float64(db.Store().Degree(id))}),
+				Values: degree,
+			})
+			try = append(try, Op{
+				Reps:   50,
+				Run:    each(func() { ops.Try(db.Engine(), id) }),
+				Values: degree,
 			})
 		}
-		return &Fixture{Ops: ops}, nil
+		return &Fixture{Ops: append(navigate, try...)}, nil
 	},
+}
+
+// rankOps names one op per E6 rank.
+func rankOps(prefix string) []string {
+	out := make([]string, len(e6Ranks))
+	for i, rank := range e6Ranks {
+		out[i] = fmt.Sprintf("%s/rank=%d", prefix, rank)
+	}
+	return out
 }
 
 // E7 compares the materialized closure against bounded on-demand
@@ -394,8 +409,21 @@ var e7c = &Experiment{
 // database would. The second result is the navigation trail: hub, mid
 // and tail entities by Zipf rank.
 func OnDemandWorld(facts int) (*lsdb.Database, []sym.ID) {
+	db, names := BrowseWorld(2000, facts)
+	trail := make([]sym.ID, 0, len(e6Ranks))
+	for _, rank := range e6Ranks {
+		trail = append(trail, db.Entity(names[rank]))
+	}
+	return db, trail
+}
+
+// BrowseWorld returns the Zipf graph of the given size with
+// OnDemandWorld's structural overlay, and its entity names in Zipf
+// rank order (names[0] is the biggest hub). At 500 entities and 5,000
+// facts it is the world of the lsdbbench end-to-end benchmark.
+func BrowseWorld(entities, facts int) (*lsdb.Database, []string) {
 	db, names := dataset.Graph(dataset.GraphConfig{
-		Entities: 2000, Facts: facts, Relationships: 8, Seed: 17,
+		Entities: entities, Facts: facts, Relationships: 8, Seed: 17,
 	})
 	rel := func(i int) string { return fmt.Sprintf("REL-%02d", i) }
 	for i := 1; i < 8; i += 2 {
@@ -410,11 +438,7 @@ func OnDemandWorld(facts int) (*lsdb.Database, []sym.ID) {
 	for i := 0; i < len(names); i += 10 {
 		db.MustAssert(names[i], "in", fmt.Sprintf("K%d", i%6))
 	}
-	trail := make([]sym.ID, 0, len(e6Ranks))
-	for _, rank := range e6Ranks {
-		trail = append(trail, db.Entity(names[rank]))
-	}
-	return db, trail
+	return db, names
 }
 
 // replay replays one browsing session over the trail using bounded

@@ -15,7 +15,7 @@
 package browse
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/compose"
 	"repro/internal/fact"
@@ -120,45 +120,73 @@ func (b *Browser) Neighborhood(e sym.ID) *Neighborhood {
 	u := b.eng.Universe()
 	n := &Neighborhood{Entity: e}
 
-	classSet := make(map[sym.ID]struct{})
-	outGroups := make(map[sym.ID]map[sym.ID]struct{})
-	inGroups := make(map[sym.ID]map[sym.ID]struct{})
-
+	classes := make([]sym.ID, 0) // Classes is non-nil even when empty
+	var out, in []edge
 	b.match(e, sym.None, sym.None, func(f fact.Fact) bool {
 		if b.noise(f) {
 			return true
 		}
 		if f.R == u.Member || f.R == u.Gen {
 			if f.T != e {
-				classSet[f.T] = struct{}{}
+				classes = append(classes, f.T)
 			}
 			return true
 		}
-		g := outGroups[f.R]
-		if g == nil {
-			g = make(map[sym.ID]struct{})
-			outGroups[f.R] = g
-		}
-		g[f.T] = struct{}{}
+		out = append(out, newEdge(f.R, f.T))
 		return true
 	})
 	b.match(sym.None, sym.None, e, func(f fact.Fact) bool {
 		if b.noise(f) || f.S == e {
 			return true
 		}
-		g := inGroups[f.R]
-		if g == nil {
-			g = make(map[sym.ID]struct{})
-			inGroups[f.R] = g
-		}
-		g[f.S] = struct{}{}
+		in = append(in, newEdge(f.R, f.S))
 		return true
 	})
 
-	n.Classes = sortedIDs(u, classSet)
-	n.Out = groupList(u, outGroups)
-	n.In = groupList(u, inGroups)
+	fact.SortByName(u, classes, fact.IDKey)
+	n.Classes = slices.Compact(classes)
+	n.Out = groupEdges(u, out)
+	n.In = groupEdges(u, in)
 	return n
+}
+
+// edge is one neighbor of a navigated entity and the relationship
+// that reaches it, packed so that edges sort by (relationship,
+// neighbor) ID as integers.
+type edge uint64
+
+func newEdge(rel, ent sym.ID) edge { return edge(rel)<<32 | edge(ent) }
+
+func (x edge) rel() sym.ID { return sym.ID(x >> 32) }
+func (x edge) ent() sym.ID { return sym.ID(x) }
+
+// groupEdges returns one group per relationship of the edges, the
+// groups and each group's entities sorted by name, duplicates dropped.
+// An ID sort first gathers each relationship's edges and makes
+// duplicates adjacent, so the name sorts compare entity names only;
+// the groups' entity lists share one array, each capped at its end.
+func groupEdges(u *fact.Universe, es []edge) []RelGroup {
+	slices.Sort(es)
+	es = slices.Compact(es)
+	ents := make([]sym.ID, len(es))
+	groups := 0
+	for i, x := range es {
+		ents[i] = x.ent()
+		if i == 0 || x.rel() != es[i-1].rel() {
+			groups++
+		}
+	}
+	out := make([]RelGroup, 0, groups)
+	for lo, hi := 0, 0; lo < len(es); lo = hi {
+		rel := es[lo].rel()
+		for hi = lo + 1; hi < len(es) && es[hi].rel() == rel; hi++ {
+		}
+		g := ents[lo:hi:hi]
+		fact.SortByName(u, g, fact.IDKey)
+		out = append(out, RelGroup{Rel: rel, Entities: g})
+	}
+	fact.SortByName(u, out, func(g RelGroup) fact.NameKey { return fact.NameKey{g.Rel} })
+	return out
 }
 
 // noise reports facts suppressed from navigation output: virtual
@@ -177,24 +205,6 @@ func (b *Browser) noise(f fact.Fact) bool {
 		return true
 	}
 	return false
-}
-
-func sortedIDs(u *fact.Universe, set map[sym.ID]struct{}) []sym.ID {
-	out := make([]sym.ID, 0, len(set))
-	for id := range set {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return u.Name(out[i]) < u.Name(out[j]) })
-	return out
-}
-
-func groupList(u *fact.Universe, groups map[sym.ID]map[sym.ID]struct{}) []RelGroup {
-	out := make([]RelGroup, 0, len(groups))
-	for rel, set := range groups {
-		out = append(out, RelGroup{Rel: rel, Entities: sortedIDs(u, set)})
-	}
-	sort.Slice(out, func(i, j int) bool { return u.Name(out[i].Rel) < u.Name(out[j].Rel) })
-	return out
 }
 
 // Table renders the neighborhood in the paper's §4.1 layout: the
@@ -267,7 +277,7 @@ func (b *Browser) Between(src, tgt sym.ID) []Association {
 			out = append(out, Association{Rel: rel, Path: &p})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return u.Name(out[i].Rel) < u.Name(out[j].Rel) })
+	fact.SortByName(u, out, func(a Association) fact.NameKey { return fact.NameKey{a.Rel} })
 	return out
 }
 

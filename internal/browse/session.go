@@ -1,8 +1,9 @@
 package browse
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/fact"
@@ -95,12 +96,8 @@ func (s *Session) Unexplored(u *fact.Universe) []sym.ID {
 			out = append(out, id)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if s.seen[out[i]] != s.seen[out[j]] {
-			return s.seen[out[i]] > s.seen[out[j]]
-		}
-		return u.Name(out[i]) < u.Name(out[j])
-	})
+	fact.SortByName(u, out, fact.IDKey)
+	slices.SortStableFunc(out, func(a, b sym.ID) int { return cmp.Compare(s.seen[b], s.seen[a]) })
 	return out
 }
 

@@ -14,7 +14,9 @@ package fact
 
 import (
 	"cmp"
+	"encoding/binary"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -247,6 +249,87 @@ func (u *Universe) FormatTemplate(tp Template) string {
 		return u.Name(t.Entity)
 	}
 	return fmt.Sprintf("(%s, %s, %s)", term(tp.S), term(tp.R), term(tp.T))
+}
+
+// NameKey is the sort key of SortByName: up to three entity IDs whose
+// names are compared in turn. Unused trailing positions are sym.None.
+type NameKey [3]sym.ID
+
+// IDKey is the SortByName key of a plain entity list.
+func IDKey(id sym.ID) NameKey { return NameKey{id} }
+
+// SortByName sorts xs by the entity names of key(x), compared position
+// by position; elements with equal keys keep their input order. It is
+// the one name order of the read paths (navigation columns, try, probe
+// suggestions). Each name is resolved once per element rather than
+// once per comparison: the elements' names are laid out side by side,
+// and pointer-free sort keys — the element's index and the first eight
+// bytes of its first name, which decide most comparisons alone — are
+// sorted and then applied to xs as a permutation, in place.
+func SortByName[T any](u *Universe, xs []T, key func(T) NameKey) {
+	n := len(xs)
+	if n < 2 {
+		return
+	}
+	width := 1 // key positions in use
+	for _, x := range xs {
+		k := key(x)
+		for w := len(k); w > width; w-- {
+			if k[w-1] != sym.None {
+				width = w
+			}
+		}
+	}
+	type sortKey struct {
+		prefix uint64 // names[i*width] big-endian, zero-padded
+		i      int32
+	}
+	names := make([]string, width*n)
+	keys := make([]sortKey, n)
+	for i, x := range xs {
+		k := key(x)
+		for j, id := range k[:width] {
+			if id != sym.None {
+				names[i*width+j] = u.Name(id)
+			}
+		}
+		var b [8]byte
+		copy(b[:], names[i*width])
+		keys[i] = sortKey{binary.BigEndian.Uint64(b[:]), int32(i)}
+	}
+	slices.SortFunc(keys, func(a, b sortKey) int {
+		// A zero-padded prefix orders as the strings do wherever the
+		// prefixes differ.
+		if a.prefix != b.prefix {
+			return cmp.Compare(a.prefix, b.prefix)
+		}
+		ka := names[int(a.i)*width : int(a.i+1)*width]
+		kb := names[int(b.i)*width : int(b.i+1)*width]
+		for j := range ka {
+			if c := strings.Compare(ka[j], kb[j]); c != 0 {
+				return c
+			}
+		}
+		return cmp.Compare(a.i, b.i)
+	})
+	// Position j takes the element at keys[j].i: follow each cycle once,
+	// marking visited positions with -1.
+	for i := range keys {
+		if keys[i].i < 0 {
+			continue
+		}
+		first, j := xs[i], i
+		for {
+			k := int(keys[j].i)
+			keys[j].i = -1
+			if k == i {
+				xs[j] = first
+				break
+			}
+			xs[j] = xs[k]
+			j = k
+		}
+	}
 }
 
 // Special reports whether id is one of the built-in special entities.

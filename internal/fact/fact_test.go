@@ -1,6 +1,9 @@
 package fact
 
 import (
+	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -180,4 +183,51 @@ func itoa(n int64) string {
 		buf[i] = '-'
 	}
 	return string(buf[i:])
+}
+
+// TestSortByNameMatchesStableSort checks SortByName against a stable
+// sort comparing the names directly, on keys of one to three
+// positions over names that share long prefixes, are prefixes of one
+// another, or repeat (equal keys must keep their input order).
+func TestSortByNameMatchesStableSort(t *testing.T) {
+	u := NewUniverse()
+	var ids []sym.ID
+	for _, name := range []string{"A", "AB", "ABCDEFGH", "ABCDEFGHI", "ABCDEFGHJ", "ABCDEFG", "B", "N000123", "N000124", "N0001234", "é", "Z9"} {
+		ids = append(ids, u.Intern(name))
+	}
+	type elem struct {
+		k   NameKey
+		pos int
+	}
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 200; trial++ {
+		width := 1 + trial%3
+		xs := make([]elem, rng.Intn(40))
+		for i := range xs {
+			for j := 0; j < width; j++ {
+				xs[i].k[j] = ids[rng.Intn(len(ids))]
+			}
+			xs[i].pos = i
+		}
+		want := slices.Clone(xs)
+		slices.SortStableFunc(want, func(a, b elem) int {
+			for j := range a.k {
+				var na, nb string
+				if a.k[j] != sym.None {
+					na = u.Name(a.k[j])
+				}
+				if b.k[j] != sym.None {
+					nb = u.Name(b.k[j])
+				}
+				if c := strings.Compare(na, nb); c != 0 {
+					return c
+				}
+			}
+			return 0
+		})
+		SortByName(u, xs, func(x elem) NameKey { return x.k })
+		if !slices.Equal(xs, want) {
+			t.Fatalf("trial %d (width %d):\ngot  %v\nwant %v", trial, width, xs, want)
+		}
+	}
 }

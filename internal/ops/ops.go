@@ -7,6 +7,7 @@ package ops
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/compose"
@@ -21,9 +22,13 @@ import (
 // (e,y,z) ∨ (x,e,z) ∨ (x,y,e)). With a couple of tries, a user
 // completely unfamiliar with the database can pick a navigation
 // starting point.
+//
+// The facts are in the order of their (S, R, T) name tuples, compared
+// name by name. Names are unique, so the order is total: it depends
+// only on the closure, never on the order names were interned, and
+// every replica of a database pages the same answer the same way.
 func Try(eng *rules.Engine, e sym.ID) []fact.Fact {
 	u := eng.Universe()
-	seen := make(map[fact.Fact]struct{})
 	var out []fact.Fact
 	keep := func(f fact.Fact) bool {
 		// Suppress virtual noise exactly as navigation does.
@@ -35,22 +40,16 @@ func Try(eng *rules.Engine, e sym.ID) []fact.Fact {
 				return true
 			}
 		}
-		if _, dup := seen[f]; !dup {
-			seen[f] = struct{}{}
-			out = append(out, f)
-		}
+		out = append(out, f)
 		return true
 	}
 	eng.Match(e, sym.None, sym.None, keep)
 	eng.Match(sym.None, e, sym.None, keep)
 	eng.Match(sym.None, sym.None, e, keep)
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		an := u.Name(a.S) + u.Name(a.R) + u.Name(a.T)
-		bn := u.Name(b.S) + u.Name(b.R) + u.Name(b.T)
-		return an < bn
-	})
-	return out
+	// A fact naming e in several positions matched several templates;
+	// sorted, its copies are adjacent.
+	fact.SortByName(u, out, func(f fact.Fact) fact.NameKey { return fact.NameKey{f.S, f.R, f.T} })
+	return slices.Compact(out)
 }
 
 // Include enables a standard inference rule (§6.1 include(rule)).
@@ -109,7 +108,7 @@ func Relation(eng *rules.Engine, class sym.ID, attrs ...RelationAttr) *tabular.R
 		}
 		return true
 	})
-	sort.Slice(instances, func(i, j int) bool { return u.Name(instances[i]) < u.Name(instances[j]) })
+	fact.SortByName(u, instances, fact.IDKey)
 
 	for _, y := range instances {
 		row := make([][]string, 0, 1+len(attrs))

@@ -1,6 +1,8 @@
 package ops
 
 import (
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -45,6 +47,41 @@ func TestTryFindsAllPositions(t *testing.T) {
 		if !positions[p] {
 			t.Errorf("Try missed occurrences in %s position", p)
 		}
+	}
+}
+
+// TestTryOrderIndependentOfInterning pins Try's total order on facts
+// whose concatenated names collide ("A"+"B1"+"D", "AB1"+"X"+"D" and
+// "AB"+"1X"+"D" all read "AB1…D"): asserted forward and backward, the
+// same facts must come back in the same (S, R, T) name order.
+func TestTryOrderIndependentOfInterning(t *testing.T) {
+	var facts [][3]string
+	for i := 0; i < 40; i++ {
+		facts = append(facts,
+			[3]string{"A", fmt.Sprintf("B%d", i), "D"},
+			[3]string{fmt.Sprintf("AB%d", i), "X", "D"},
+			[3]string{"AB", fmt.Sprintf("%dX", i), "D"})
+	}
+	render := func(facts [][3]string) [][3]string {
+		u, e := setup(facts...)
+		var out [][3]string
+		for _, f := range Try(e, u.Entity("D")) {
+			out = append(out, [3]string{u.Name(f.S), u.Name(f.R), u.Name(f.T)})
+		}
+		return out
+	}
+	forward := render(facts)
+	reversed := slices.Clone(facts)
+	slices.Reverse(reversed)
+	backward := render(reversed)
+	if len(forward) != len(facts) {
+		t.Fatalf("Try(D) = %d facts, want %d", len(forward), len(facts))
+	}
+	if !slices.Equal(forward, backward) {
+		t.Errorf("Try(D) order depends on insertion order:\nforward  %v\nbackward %v", forward, backward)
+	}
+	if !slices.IsSortedFunc(forward, func(a, b [3]string) int { return slices.Compare(a[:], b[:]) }) {
+		t.Errorf("Try(D) is not in (S, R, T) name order: %v", forward)
 	}
 }
 

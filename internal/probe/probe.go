@@ -21,7 +21,6 @@ package probe
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/fact"
@@ -326,7 +325,7 @@ func (p *Prober) MinimalGens(e sym.ID) []sym.ID {
 			minimal = append(minimal, cand)
 		}
 	}
-	sort.Slice(minimal, func(i, j int) bool { return u.Name(minimal[i]) < u.Name(minimal[j]) })
+	fact.SortByName(u, minimal, fact.IDKey)
 	return dedupe(minimal)
 }
 
@@ -384,7 +383,7 @@ func (p *Prober) MinimalSpecs(e sym.ID) []sym.ID {
 			minimal = append(minimal, cand)
 		}
 	}
-	sort.Slice(minimal, func(i, j int) bool { return u.Name(minimal[i]) < u.Name(minimal[j]) })
+	fact.SortByName(u, minimal, fact.IDKey)
 	return dedupe(minimal)
 }
 
@@ -430,7 +429,7 @@ func (p *Prober) unknownEntities(q *query.Query) []sym.ID {
 			out = append(out, e)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return u.Name(out[i]) < u.Name(out[j]) })
+	fact.SortByName(u, out, fact.IDKey)
 	return out
 }
 

@@ -11,7 +11,7 @@ import (
 
 // derivation is a fact together with the rule that produced it and
 // the premise facts the rule combined, used for provenance
-// (Engine.Explain, Engine.Derivation).
+// (Engine.Explain, Engine.Derive).
 type derivation struct {
 	f        fact.Fact
 	why      string
@@ -24,20 +24,20 @@ type derivation struct {
 // is sorted by (S, R, T), which fixes the generation-0 frontier order.
 // Termination is guaranteed because derived facts only combine
 // entities already in the universe. Called with e.mu held.
-func (e *Engine) computeClosure(cfg *ruleset) (*store.Store, map[fact.Fact]Provenance) {
+func (e *Engine) computeClosure(cfg *ruleset) (*store.Store, *provLog) {
 	derived := store.SealedFromFacts(e.u, e.base.Facts())
-	prov := make(map[fact.Fact]Provenance)
+	log := &provLog{}
 	frontier := derived.MatchAll(sym.None, sym.None, sym.None)
 	var axioms []fact.Fact
 	for _, ax := range e.axiomFacts() {
 		if !derived.Has(ax.f) {
-			prov[ax.f] = Provenance{Rule: ax.why}
+			log.add(ax)
 			axioms = append(axioms, ax.f)
 		}
 	}
 	frontier = append(frontier, axioms...)
 	derived = derived.Extend(axioms)
-	return e.closeRounds(cfg, derived, frontier, prov, true), prov
+	return e.closeRounds(cfg, derived, frontier, log, true), log
 }
 
 // closeRounds extends derived to a fixpoint of the rules by
@@ -54,11 +54,11 @@ func (e *Engine) computeClosure(cfg *ruleset) (*store.Store, map[fact.Fact]Prove
 // store without locks. The sequential merge walks chunk outputs in
 // partition order, keeps the first derivation of each fact — a set
 // local to the round removes the duplicates, since workers only filter
-// against derived — and records its provenance in prov. The candidate
+// against derived — and records its derivation in log. The candidate
 // order, and with it every first-wins provenance record, is therefore
 // identical for any worker count. full marks a full build, whose
 // rounds alone feed the round and frontier metrics.
-func (e *Engine) closeRounds(cfg *ruleset, derived *store.Store, frontier []fact.Fact, prov map[fact.Fact]Provenance, full bool) *store.Store {
+func (e *Engine) closeRounds(cfg *ruleset, derived *store.Store, frontier []fact.Fact, log *provLog, full bool) *store.Store {
 	for len(frontier) > 0 {
 		if full {
 			e.m.rounds.Inc()
@@ -73,7 +73,7 @@ func (e *Engine) closeRounds(cfg *ruleset, derived *store.Store, frontier []fact
 			}
 			seen[d.f] = struct{}{}
 			slices.SortFunc(d.premises, fact.Compare)
-			prov[d.f] = Provenance{Rule: d.why, Premises: d.premises}
+			log.add(d)
 			next = append(next, d.f)
 		}
 		derived = derived.Extend(slices.Clone(next))

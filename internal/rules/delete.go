@@ -1,7 +1,6 @@
 package rules
 
 import (
-	"maps"
 	"slices"
 
 	"repro/internal/fact"
@@ -26,8 +25,9 @@ import (
 //     overdeleted cone. This over-approximates the truly dead set.
 //
 //  2. Prune: seal the old closure's facts minus the cone into a new
-//     store (published snapshots are never mutated), and drop the
-//     cone's provenance.
+//     store (published snapshots are never mutated), and mark the
+//     cone's provenance records dropped: publish prunes them from the
+//     columns it carries over (provenance.go).
 //
 //  3. Rederive: a cone fact may have an alternative derivation that
 //     never touched a deleted fact. Scan the cone in canonical order
@@ -81,11 +81,11 @@ func netChanges(chs []store.Change) (ins, del []fact.Fact) {
 
 // applyDeletes maintains the old snapshot's closure across a change
 // window containing deletions, returning the new closure, its
-// provenance, and the overdeleted cone size. ok=false means the
+// provenance log, and the overdeleted cone size. ok=false means the
 // window is not eligible (non-monotone Individual() flip) or not
 // worth it (cone past half the closure); the caller then rebuilds in
 // full. Called with e.mu held; old is never mutated.
-func (e *Engine) applyDeletes(cfg *ruleset, old *snapshot, chs []store.Change) (*store.Store, map[fact.Fact]Provenance, int, bool) {
+func (e *Engine) applyDeletes(cfg *ruleset, old *snapshot, chs []store.Change) (*store.Store, *provLog, int, bool) {
 	ins, del := netChanges(chs)
 	u := e.u
 	for _, f := range append(del, ins...) {
@@ -122,13 +122,20 @@ func (e *Engine) applyDeletes(cfg *ruleset, old *snapshot, chs []store.Change) (
 	// Phase 2: prune the cone. The old closure is a published
 	// single-segment store; its facts minus the cone seal into a new
 	// one (already in order, so the build skips the sort).
-	kept := oldC.Facts()
-	kept = slices.DeleteFunc(kept, func(f fact.Fact) bool { return over[f] })
-	pruned := store.SealedFromFacts(u, kept)
-	prov := maps.Clone(old.prov)
+	drop := make([]bool, oldC.Len())
 	for _, f := range cone {
-		delete(prov, f)
+		id, _ := oldC.FactID(f)
+		drop[id] = true
 	}
+	all := oldC.MatchAll(sym.None, sym.None, sym.None)
+	kept := make([]fact.Fact, 0, len(all)-len(cone))
+	for id, f := range all {
+		if !drop[id] {
+			kept = append(kept, f)
+		}
+	}
+	pruned := store.SealedFromFacts(u, kept)
+	log := &provLog{old: old.provenance(), drop: drop}
 
 	// Phase 3: reinstate cone facts with support outside the cone:
 	// still stored, an axiom, or a one-step derivation from the pruned
@@ -144,14 +151,14 @@ func (e *Engine) applyDeletes(cfg *ruleset, old *snapshot, chs []store.Change) (
 			// Still a stored fact (the deletes hit other facts; this one
 			// was merely reachable from them).
 		case slices.Contains(axioms, f):
-			prov[f] = Provenance{Rule: "axiom"}
+			log.add(derivation{f: f, why: "axiom"})
 		default:
-			p, ok := e.derive1(cfg, f, pruned)
+			d, ok := e.derive1(cfg, f, pruned)
 			if !ok {
 				continue
 			}
-			slices.SortFunc(p.Premises, fact.Compare)
-			prov[f] = p
+			slices.SortFunc(d.premises, fact.Compare)
+			log.add(d)
 		}
 		seed = append(seed, f)
 	}
@@ -166,23 +173,23 @@ func (e *Engine) applyDeletes(cfg *ruleset, old *snapshot, chs []store.Change) (
 		}
 	}
 	derived := pruned.Extend(slices.Clone(seed))
-	return e.closeRounds(cfg, derived, seed, prov, false), prov, len(cone), true
+	return e.closeRounds(cfg, derived, seed, log, false), log, len(cone), true
 }
 
 // derive1 reports whether goal g has a one-step derivation from the
 // facts in st (plus virtual facts, for user-rule bodies), returning
-// the provenance of the first one found. It is the head-directed
+// the first one found. It is the head-directed
 // mirror of deriveFrom: every emit case there has its premise pattern
 // inverted here, so "derive1 succeeds" coincides exactly with "a
 // forward pass over st would emit g". Degenerate instantiations that
 // would use g itself as a premise are impossible by construction —
 // the caller only asks about facts absent from st.
-func (e *Engine) derive1(cfg *ruleset, g fact.Fact, st *store.Store) (Provenance, bool) {
+func (e *Engine) derive1(cfg *ruleset, g fact.Fact, st *store.Store) (derivation, bool) {
 	u := e.u
-	var out Provenance
+	var out derivation
 	found := false
 	take := func(why string, premises ...fact.Fact) {
-		out = Provenance{Rule: why, Premises: premises}
+		out = derivation{f: g, why: why, premises: premises}
 		found = true
 	}
 

@@ -2,7 +2,6 @@ package rules
 
 import (
 	"fmt"
-	"maps"
 	"runtime"
 	"slices"
 	"sort"
@@ -24,8 +23,8 @@ import (
 //
 // The closure is materialized lazily by semi-naive forward chaining
 // and published as an immutable snapshot (sealed closure store +
-// provenance map + the base/config versions it reflects) through an
-// atomic pointer. Closures are built in sealed posting form: every
+// provenance columns + the base/config versions it reflects) through
+// an atomic pointer. Closures are built in sealed posting form: every
 // derivation round adds one segment to a sealed store (store.Extend),
 // and publish compacts the stack to a single segment. A batch of pure
 // insertions extends the previous snapshot's closure by new segments
@@ -67,6 +66,10 @@ type Engine struct {
 	axiomOnce sync.Once
 	axioms    []derivation
 	axiomFs   []fact.Fact
+
+	// published, when set (by tests), sees every snapshot publish
+	// makes, with the provenance log its build recorded.
+	published func(*snapshot, *provLog)
 }
 
 // ruleset is an immutable snapshot of the rule configuration. Config
@@ -81,15 +84,20 @@ type ruleset struct {
 	userRules []*Rule
 }
 
-// snapshot is one published closure: a sealed store plus the
-// provenance of every derived fact, labeled with the base and config
-// versions it reflects. All fields except the lazily computed entity
-// list are immutable after publication.
+// snapshot is one published closure: a single-segment sealed store
+// plus the provenance columns of every derived fact, labeled with the
+// base and config versions it reflects. All fields except the lazily
+// computed entity list are immutable after publication.
 type snapshot struct {
 	closure *store.Store
-	prov    map[fact.Fact]Provenance // how each derived fact was first obtained
-	baseVer uint64                   // base.Version() the closure reflects
-	cfgVer  uint64                   // cfgVersion the closure reflects
+	baseVer uint64 // base.Version() the closure reflects
+	cfgVer  uint64 // cfgVersion the closure reflects
+
+	// prov records how each derived fact was first obtained. Publish
+	// builds it in the background, so that reads of the closure need
+	// not wait for it; read it through provenance, which does.
+	prov     *provenance
+	provDone chan struct{}
 
 	entitiesOnce sync.Once
 	entities     []sym.ID // closure.Entities(), computed on first use
@@ -255,11 +263,6 @@ func (e *Engine) ClosureEntities() []sym.ID {
 	return s.entities
 }
 
-func (e *Engine) closureWithProv() (*store.Store, map[fact.Fact]Provenance) {
-	s := e.current()
-	return s.closure, s.prov
-}
-
 // current returns a snapshot consistent with the base store and rule
 // configuration, building one if necessary. The warm path is a single
 // atomic load plus two version checks — no locks.
@@ -312,8 +315,8 @@ func (e *Engine) rebuild() *snapshot {
 	if old != nil && old.cfgVer == cv && bv > old.baseVer {
 		if chs, ok := e.base.ChangesSince(old.baseVer); ok {
 			if insertsOnly(chs) {
-				c, prov := e.applyIncremental(cfg, old, chs)
-				s := e.publish(c, prov, bv, cv)
+				c, log := e.applyIncremental(cfg, old, chs)
+				s := e.publish(c, log, bv, cv)
 				e.m.rebuildsIncr.Inc()
 				if e.m.rebuildNs != nil {
 					e.m.rebuildNs.Observe(time.Since(t0).Nanoseconds())
@@ -325,8 +328,8 @@ func (e *Engine) rebuild() *snapshot {
 			// instead of recomputing the whole closure, unless the
 			// window is ineligible (Individual() flip) or the cone
 			// grows past the worth-it bound.
-			if c, prov, cone, ok := e.applyDeletes(cfg, old, chs); ok {
-				s := e.publish(c, prov, bv, cv)
+			if c, log, cone, ok := e.applyDeletes(cfg, old, chs); ok {
+				s := e.publish(c, log, bv, cv)
 				e.m.rebuildsDelete.Inc()
 				if cone > 0 {
 					e.m.deleteProps.Inc()
@@ -339,8 +342,8 @@ func (e *Engine) rebuild() *snapshot {
 			}
 		}
 	}
-	c, prov := e.computeClosure(cfg)
-	s := e.publish(c, prov, bv, cv)
+	c, log := e.computeClosure(cfg)
+	s := e.publish(c, log, bv, cv)
 	e.m.rebuildsFull.Inc()
 	if e.m.rebuildNs != nil {
 		e.m.rebuildNs.Observe(time.Since(t0).Nanoseconds())
@@ -348,11 +351,13 @@ func (e *Engine) rebuild() *snapshot {
 	return s
 }
 
-func (e *Engine) publish(c *store.Store, prov map[fact.Fact]Provenance, bv, cv uint64) *snapshot {
+func (e *Engine) publish(c *store.Store, log *provLog, bv, cv uint64) *snapshot {
 	// Every published closure is compacted to a single posting segment,
 	// so readers see one index and one result order whatever path
-	// built it. The compaction is the index build of every published
-	// snapshot, so its cost is tracked explicitly.
+	// built it, and the provenance columns align with its fact IDs.
+	// The compaction is the index build of every published snapshot,
+	// so its cost is tracked explicitly. The columns are built after
+	// the snapshot is published; only provenance reads wait for them.
 	var t0 time.Time
 	if e.m.sealNs != nil {
 		t0 = time.Now()
@@ -362,9 +367,23 @@ func (e *Engine) publish(c *store.Store, prov map[fact.Fact]Provenance, bv, cv u
 		e.m.sealNs.Observe(time.Since(t0).Nanoseconds())
 	}
 	e.m.sealBuilds.Inc()
-	s := &snapshot{closure: c, prov: prov, baseVer: bv, cfgVer: cv}
+	s := &snapshot{closure: c, baseVer: bv, cfgVer: cv, provDone: make(chan struct{})}
+	go func() {
+		s.prov = buildProvenance(c, log)
+		close(s.provDone)
+	}()
+	if e.published != nil {
+		e.published(s, log)
+	}
 	e.snap.Store(s)
 	return s
+}
+
+// provenance returns the snapshot's provenance columns, waiting for
+// publish's background build.
+func (s *snapshot) provenance() *provenance {
+	<-s.provDone
+	return s.prov
 }
 
 func insertsOnly(chs []store.Change) bool {
@@ -377,15 +396,16 @@ func insertsOnly(chs []store.Change) bool {
 }
 
 // applyIncremental returns a new closure extending the previous
-// snapshot with the consequences of newly inserted base facts: the
-// facts the old closure lacks become a segment on top of it and the
-// frontier of closeRounds. The old snapshot's store and provenance are
-// shared or copied, never mutated, so the result is private until
-// published: rebuild publishes it, WouldViolate only inspects it. A
-// new base fact the old closure already derived keeps its derivation
-// (base.Has wins in Explain) and adds no consequences.
-func (e *Engine) applyIncremental(cfg *ruleset, old *snapshot, chs []store.Change) (*store.Store, map[fact.Fact]Provenance) {
-	prov := maps.Clone(old.prov)
+// snapshot with the consequences of newly inserted base facts, and the
+// log of their derivations over the old snapshot's records: the facts
+// the old closure lacks become a segment on top of it and the frontier
+// of closeRounds. The old snapshot's store and provenance are shared,
+// never mutated, so the result is private until published: rebuild
+// publishes it, WouldViolate only inspects it. A new base fact the old
+// closure already derived keeps its derivation (base.Has wins in
+// Explain) and adds no consequences.
+func (e *Engine) applyIncremental(cfg *ruleset, old *snapshot, chs []store.Change) (*store.Store, *provLog) {
+	log := &provLog{old: old.provenance()}
 	var seed []fact.Fact
 	for _, c := range chs {
 		if !old.closure.Has(c.Fact) {
@@ -393,7 +413,7 @@ func (e *Engine) applyIncremental(cfg *ruleset, old *snapshot, chs []store.Chang
 		}
 	}
 	derived := old.closure.Extend(slices.Clone(seed))
-	return e.closeRounds(cfg, derived, seed, prov, false), prov
+	return e.closeRounds(cfg, derived, seed, log, false), log
 }
 
 // Invalidate drops the cached closure and bumps the subgoal cache
@@ -406,30 +426,24 @@ func (e *Engine) Invalidate() {
 	e.sg.epoch.Add(1)
 }
 
-// Provenance records how a derived fact was first obtained: the rule
-// (a standard rule name, a user rule name, or "axiom") and the
-// premise facts the rule combined. Premises may themselves be
-// derived; Derive follows them back to stored facts.
-type Provenance struct {
-	Rule     string
-	Premises []fact.Fact
-}
-
 // Explain returns how fact f entered the closure: "stored", the name
-// of the rule that first derived it, or "" if f is not in the
-// (materialized part of the) closure.
+// of the rule that first derived it (a standard rule name, a user
+// rule name, or "axiom"), or "" if f is not in the (materialized part
+// of the) closure.
 func (e *Engine) Explain(f fact.Fact) string {
-	c, prov := e.closureWithProv()
+	prov := e.current().provenance()
 	if e.base.Has(f) {
 		return "stored"
 	}
-	if c.Has(f) {
-		if why, ok := prov[f]; ok {
-			return why.Rule
-		}
+	id, in := prov.closure.FactID(f)
+	switch {
+	case !in:
+		return ""
+	case prov.code[id] != 0:
+		return prov.rule(id)
+	default:
 		return "derived"
 	}
-	return ""
 }
 
 // Derivation is a proof tree for a closure fact: the fact, how it was
@@ -445,8 +459,8 @@ type Derivation struct {
 // recorded derivation is used, and recursion stops at stored facts
 // and axioms.
 func (e *Engine) Derive(f fact.Fact) *Derivation {
-	c, prov := e.closureWithProv()
-	if !c.Has(f) {
+	prov := e.current().provenance()
+	if !prov.closure.Has(f) {
 		return nil
 	}
 	seen := make(map[fact.Fact]bool)
@@ -455,17 +469,17 @@ func (e *Engine) Derive(f fact.Fact) *Derivation {
 		if e.base.Has(g) {
 			return &Derivation{Fact: g, Rule: "stored"}
 		}
-		p, ok := prov[g]
+		id, ok := prov.lookup(g)
 		if !ok {
 			return &Derivation{Fact: g, Rule: "derived"}
 		}
-		d := &Derivation{Fact: g, Rule: p.Rule}
+		d := &Derivation{Fact: g, Rule: prov.rule(id)}
 		if seen[g] {
 			return d // cut potential sharing cycles short
 		}
 		seen[g] = true
-		for _, prem := range p.Premises {
-			d.Premises = append(d.Premises, build(prem))
+		for _, r := range prov.premises(id) {
+			d.Premises = append(d.Premises, build(prov.premise(r)))
 		}
 		return d
 	}
@@ -561,25 +575,23 @@ func (e *Engine) wildcardRel(rel sym.ID) bool {
 }
 
 // matchConcrete matches against materialized closure plus virtual
-// facts, deduplicating only when both sources can emit the same fact.
+// facts, deduplicating only when both sources can emit the same fact:
+// a virtual fact the closure holds was already reported by the closure
+// match, so a closure probe decides — no set of the (possibly
+// hub-sized) closure answer is built.
 func (e *Engine) matchConcrete(src, rel, tgt sym.ID, fn func(fact.Fact) bool) bool {
 	c := e.Closure()
 	u := e.u
 	overlap := rel == sym.None || rel == u.Gen || rel == u.Eq || rel == u.Neq ||
 		rel == u.Lt || rel == u.Gt || rel == u.Le || rel == u.Ge
-	if !overlap {
-		return c.Match(src, rel, tgt, fn)
-	}
-	seen := make(map[fact.Fact]struct{})
-	done := c.Match(src, rel, tgt, func(f fact.Fact) bool {
-		seen[f] = struct{}{}
-		return fn(f)
-	})
-	if !done {
+	if !c.Match(src, rel, tgt, fn) {
 		return false
 	}
+	if !overlap {
+		return true
+	}
 	return e.vp.Match(src, rel, tgt, c, func(f fact.Fact) bool {
-		if _, dup := seen[f]; dup {
+		if c.Has(f) {
 			return true
 		}
 		return fn(f)

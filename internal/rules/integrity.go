@@ -31,20 +31,20 @@ func (v Violation) Format(u *fact.Universe) string {
 // with the active rules (including integrity constraints, whose
 // derived facts are part of the closure) is not a valid database.
 func (e *Engine) Check() []Violation {
-	c, prov := e.closureWithProv()
-	return e.violations(c, prov, e.base.Has)
+	return e.violations(e.current().provenance(), e.base.Has)
 }
 
-// violations scans closure c for contradictions; stored reports
-// whether a fact counts as explicit for provenance.
-func (e *Engine) violations(c *store.Store, prov map[fact.Fact]Provenance, stored func(fact.Fact) bool) []Violation {
+// violations scans the closure of prov for contradictions; stored
+// reports whether a fact counts as explicit for provenance.
+func (e *Engine) violations(prov *provenance, stored func(fact.Fact) bool) []Violation {
 	u := e.u
+	c := prov.closure
 	why := func(f fact.Fact) string {
 		if stored(f) {
 			return "stored"
 		}
-		if w, ok := prov[f]; ok {
-			return w.Rule
+		if id, ok := prov.lookup(f); ok {
+			return prov.rule(id)
 		}
 		return "virtual"
 	}
@@ -128,8 +128,9 @@ func (e *Engine) Consistent() bool { return len(e.Check()) == 0 }
 // database state to have a contradiction-free closure (§2.6).
 //
 // The hypothetical is evaluated on a private closure — the published
-// snapshot extended by f through the incremental insert path — that
-// is never published. The store is not touched, so a logged database
+// snapshot extended by f through the incremental insert path, and
+// compacted with its provenance columns as publish would — that is
+// never published. The store is not touched, so a logged database
 // writes no records and concurrent readers never see f.
 func (e *Engine) WouldViolate(f fact.Fact) []Violation {
 	if e.base.Has(f) {
@@ -137,13 +138,13 @@ func (e *Engine) WouldViolate(f fact.Fact) []Violation {
 	}
 	s := e.current()
 	before := make(map[[2]fact.Fact]struct{})
-	for _, v := range e.violations(s.closure, s.prov, e.base.Has) {
+	for _, v := range e.violations(s.provenance(), e.base.Has) {
 		before[[2]fact.Fact{v.A, v.B}] = struct{}{}
 	}
-	c, prov := e.applyIncremental(e.rs.Load(), s, []store.Change{{Fact: f}})
+	c, log := e.applyIncremental(e.rs.Load(), s, []store.Change{{Fact: f}})
 	stored := func(g fact.Fact) bool { return g == f || e.base.Has(g) }
 	var out []Violation
-	for _, v := range e.violations(c, prov, stored) {
+	for _, v := range e.violations(buildProvenance(c.Compact(), log), stored) {
 		if _, old := before[[2]fact.Fact{v.A, v.B}]; !old {
 			out = append(out, v)
 		}

@@ -314,16 +314,22 @@ func (p *postings) decodeRun(pl plist, dst []uint32) []uint32 {
 	return DecodeUvarintRun(p.enc[pl.off:], pl.n, dst)
 }
 
-// has answers a fully bound probe: locate the (S, R) span, then binary
+// id answers a fully bound probe: locate the (S, R) span, then binary
 // search its T column (ascending within the span by the sort order).
-func (p *postings) has(f fact.Fact) bool {
+// It returns f's fact ID and whether the segment holds f.
+func (p *postings) id(f fact.Fact) (int, bool) {
 	sp, ok := p.bySR[pair{f.S, f.R}]
 	if !ok {
-		return false
+		return 0, false
 	}
 	run := p.facts[sp.lo:sp.hi]
 	i := sort.Search(len(run), func(i int) bool { return run[i].T >= f.T })
-	return i < len(run) && run[i].T == f.T
+	return int(sp.lo) + i, i < len(run) && run[i].T == f.T
+}
+
+func (p *postings) has(f fact.Fact) bool {
+	_, ok := p.id(f)
+	return ok
 }
 
 // match is the sealed Store.Match body: spans iterate the fact array

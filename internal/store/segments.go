@@ -76,6 +76,28 @@ func (s *Store) Compact() *Store {
 // (0 for a mutable one).
 func (s *Store) Segments() int { return len(s.segs) }
 
+// FactID returns f's fact ID in a single-segment sealed store — its
+// position in the store's (S, R, T) order, the ID its posting runs
+// use — and whether the store holds f. Columns kept alongside a
+// compacted store are indexed by it. It panics on a store of any other
+// shape.
+func (s *Store) FactID(f fact.Fact) (int, bool) {
+	return s.segment("FactID").id(f)
+}
+
+// FactAt returns the fact with the given fact ID of a single-segment
+// sealed store (see FactID).
+func (s *Store) FactAt(id int) fact.Fact {
+	return s.segment("FactAt").facts[id]
+}
+
+func (s *Store) segment(op string) *postings {
+	if len(s.segs) != 1 {
+		panic("store: " + op + " of a store that is not one sealed segment")
+	}
+	return s.segs[0]
+}
+
 func (s *Store) mustSealed(op string) {
 	if !s.sealed {
 		panic("store: " + op + " of mutable store")

@@ -3,12 +3,15 @@
 // Every entity in a loosely structured database is a distinctly named
 // member of the universe E (paper §2.1). Interning maps each distinct
 // name to a dense uint32 ID so facts can be stored and joined as fixed
-// size integer triples. A Table is safe for concurrent use.
+// size integer triples. A Table is safe for concurrent use, and its
+// reads of names (Name, Len, Each) take no lock: sort comparators and
+// result encoders resolve names on every browse read.
 package sym
 
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 )
 
 // ID identifies an interned entity name. The zero ID is reserved and
@@ -19,18 +22,23 @@ type ID uint32
 const None ID = 0
 
 // Table interns strings to IDs and resolves IDs back to strings.
+//
+// The names are an append-only slice published through an atomic
+// pointer: Intern appends under mu and publishes the longer slice, so
+// a reader's loaded slice never changes under it — an element is
+// written before the slice that covers it is published, and never
+// written again. Only the ids map needs mu.
 type Table struct {
 	mu    sync.RWMutex
 	ids   map[string]ID
-	names []string // names[i] is the name of ID(i); names[0] is ""
+	names atomic.Pointer[[]string] // (*names)[i] is the name of ID(i); [0] is ""
 }
 
 // NewTable returns an empty interning table.
 func NewTable() *Table {
-	return &Table{
-		ids:   make(map[string]ID),
-		names: []string{""},
-	}
+	t := &Table{ids: make(map[string]ID)}
+	t.names.Store(&[]string{""})
+	return t
 }
 
 // Intern returns the ID for name, allocating one if necessary.
@@ -50,9 +58,10 @@ func (t *Table) Intern(name string) ID {
 	if id, ok := t.ids[name]; ok {
 		return id
 	}
-	id = ID(len(t.names))
-	t.names = append(t.names, name)
+	names := append(*t.names.Load(), name)
+	id = ID(len(names) - 1)
 	t.ids[name] = id
+	t.names.Store(&names)
 	return id
 }
 
@@ -66,27 +75,22 @@ func (t *Table) Lookup(name string) (ID, bool) {
 
 // Name returns the string for id. It panics on an ID that was never issued.
 func (t *Table) Name(id ID) string {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	if int(id) >= len(t.names) || id == None {
+	names := *t.names.Load()
+	if int(id) >= len(names) || id == None {
 		panic(fmt.Sprintf("sym: unknown ID %d", id))
 	}
-	return t.names[id]
+	return names[id]
 }
 
 // Len returns the number of interned names.
 func (t *Table) Len() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return len(t.names) - 1
+	return len(*t.names.Load()) - 1
 }
 
-// Each calls fn for every interned (id, name) pair in allocation order.
-// fn must not call methods on t that take the write lock.
+// Each calls fn for every (id, name) pair interned before the call, in
+// allocation order, until fn returns false.
 func (t *Table) Each(fn func(ID, string) bool) {
-	t.mu.RLock()
-	names := t.names
-	t.mu.RUnlock()
+	names := *t.names.Load()
 	for i := 1; i < len(names); i++ {
 		if !fn(ID(i), names[i]) {
 			return

@@ -125,6 +125,40 @@ func TestConcurrentIntern(t *testing.T) {
 	const goroutines = 8
 	const perG = 500
 	var wg sync.WaitGroup
+
+	// Readers run Name, Len and Each while the writers intern, so the
+	// race detector sees lock-free reads next to every publish.
+	stop := make(chan struct{})
+	var readers sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				n := tab.Len()
+				if n > 0 && tab.Name(ID(n)) == "" {
+					t.Errorf("Name(%d) is empty", n)
+				}
+				seen := 0
+				tab.Each(func(id ID, name string) bool {
+					if id != ID(seen+1) || name != tab.Name(id) {
+						t.Errorf("Each gave (%d, %q) at position %d", id, name, seen)
+					}
+					seen++
+					return true
+				})
+				if seen < n {
+					t.Errorf("Each visited %d names after Len reported %d", seen, n)
+				}
+			}
+		}()
+	}
+
 	ids := make([][]ID, goroutines)
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
@@ -137,6 +171,8 @@ func TestConcurrentIntern(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+	close(stop)
+	readers.Wait()
 	for g := 1; g < goroutines; g++ {
 		for i := 0; i < perG; i++ {
 			if ids[g][i] != ids[0][i] {

@@ -555,7 +555,9 @@ func (db *Database) Probe(src string) (*probe.Outcome, error) {
 }
 
 // Try returns every fact involving the entity (§6.1 try(e)), giving
-// an unfamiliar user a starting point for navigation.
+// an unfamiliar user a starting point for navigation. The facts are in
+// (S, R, T) name order, a total order that does not depend on the
+// order names were interned, so replicas page it alike.
 func (db *Database) Try(entity string) []fact.Fact {
 	return ops.Try(db.eng, db.u.Entity(entity))
 }
